@@ -378,8 +378,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     print(f"total queries:      {result.total_queries}")
     cache = result.extras.get("partition_cache")
     if cache is not None:
+        replans = f"{cache['misses']} replans"
+        if "prewarmed" in cache:  # sharded: the driver's warm-up plans
+            replans += f", {cache['prewarmed']} prewarmed"
         print(f"plan cache:         {cache['hit_ratio']:6.2%} hit ratio "
-              f"({cache['hits']} hits / {cache['misses']} replans)")
+              f"({cache['hits']} hits / {replans})")
     assert result.uplink is not None
     print(f"backhaul peak:      {result.uplink.peak_mbps:.0f} Mbps uplink, "
           f"{result.uplink.total_bytes / 1e9:.2f} GB total")

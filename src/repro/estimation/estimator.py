@@ -300,5 +300,19 @@ class ContentionEstimator:
         X = stats_matrix(stats_list)
         return np.maximum(1.0, _forest_rowwise_mean(self._model, X))
 
+    def max_slowdown(self) -> float:
+        """An upper bound on every slowdown this estimator can predict.
+
+        A forest prediction is the mean over trees of one leaf value per
+        tree, so the mean of each tree's largest leaf bounds it.  The
+        bound is reduced as :func:`_forest_rowwise_mean` reduces one row
+        (a contiguous mean over the trees), and rounded sums are monotone
+        in their terms, so no ``predict_slowdown`` or
+        ``predict_slowdown_batch`` value exceeds it by even one ulp.
+        """
+        if not self._fitted:
+            raise RuntimeError("estimator has not been fitted")
+        return max(1.0, float(self._model.max_leaf_values().mean()))
+
     def predict_time(self, base_time: float, stats: GpuStats) -> float:
         return base_time * self.predict_slowdown(stats)

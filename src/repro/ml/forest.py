@@ -170,6 +170,21 @@ class RandomForestRegressor:
             return self._stacked.predict_all(X)
         return np.stack([tree.predict(X) for tree in self._trees])
 
+    def max_leaf_values(self) -> np.ndarray:
+        """Each tree's largest leaf value, shape ``(n_trees,)``.
+
+        No row can get a larger per-tree prediction than its tree's
+        entry here, so the mean of this array bounds every ensemble mean.
+        """
+        if not self._trees:
+            raise RuntimeError("forest has not been fitted")
+        return np.array(
+            [
+                tree.flat.value[tree.flat.feature < 0].max()
+                for tree in self._trees
+            ]
+        )
+
     def _predict_reference(self, X: np.ndarray) -> np.ndarray:
         """Per-tree node-walk ensemble mean (the pre-vectorization path)."""
         if not self._trees:

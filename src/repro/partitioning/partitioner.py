@@ -4,7 +4,10 @@ Bundles the per-model execution profile with the runtime inputs (network
 speeds, server GPU slowdown) and produces plans plus upload schedules.
 Plans are cached on a quantized slowdown key: the large-scale simulator
 re-partitions every client every interval, and within one interval many
-clients see near-identical server states.
+clients see near-identical server states.  A plan is a pure function of
+its key, so :meth:`DNNPartitioner.warm` can plan every key a contention
+estimator can reach ahead of a run and ship the filled cache with the
+partitioner.
 """
 
 from __future__ import annotations
@@ -99,6 +102,21 @@ class DNNPartitioner:
         )
         self._cache[key] = result
         return result
+
+    def warm(self, max_slowdown: float) -> int:
+        """Plan every cache key from 1.0 up to ``quantize(max_slowdown)``.
+
+        Each key is an integer multiple of the quantum rounded exactly as
+        :meth:`quantize` rounds it, so the warmed keys are precisely the
+        keys any slowdown in ``[1, max_slowdown]`` maps to.  Returns the
+        number of plans this call had to compute (0 on a warm cache).
+        """
+        misses = self.cache_misses
+        first = round(1.0 / self._quantum)
+        last = round(max(1.0, max_slowdown) / self._quantum)
+        for step in range(first, last + 1):
+            self.partition(round(step * self._quantum, 6))
+        return self.cache_misses - misses
 
     def degraded(
         self, server_slowdown: float, inflation: float

@@ -201,7 +201,7 @@ class _ShardJob:
 
     index: int
     dataset: TrajectoryDataset | None  # None when spilled to dataset_path
-    partitioner_blob: bytes  # pickled template: same warm cache per shard
+    partitioner_blob: bytes  # pickled template, warmed to the estimator bound
     models_blob: bytes  # pickled (predictor, estimator): serialized once
     settings: SimulationSettings
     config: PerDNNConfig
@@ -430,8 +430,16 @@ def run_large_scale_sharded(
     estimator are trained once here (same rng order as the unsharded
     entry point), pickled into one blob, and broadcast to every shard
     worker; the partitioner is likewise pickled once so each shard starts
-    from an identical (possibly pre-warmed) plan cache regardless of
-    which worker runs it.  With ``model_cache_dir`` the trained blob is
+    from an identical plan cache regardless of which worker runs it.
+    With a contention estimator, that template is a copy of the caller's
+    partitioner(s) warmed over every slowdown key up to
+    :meth:`~repro.estimation.estimator.ContentionEstimator.max_slowdown`,
+    so no shard re-solves a plan another shard (or the driver) already
+    solved; keys outside the bound (the analytic fallback, degraded
+    re-plans) are still planned lazily per shard.  Plans are a pure
+    function of their key, so warming changes no merged bytes; the
+    warm-up's re-plans are reported as ``extras["partition_cache"]
+    ["prewarmed"]``.  With ``model_cache_dir`` the trained blob is
     additionally persisted to disk keyed by :func:`model_fingerprint`,
     so a repeat run over the same dataset/seed skips training entirely —
     pickle round-trips every float bit-exactly and the parent consumes no
@@ -573,7 +581,16 @@ def run_large_scale_sharded(
         models_blob = pickle.dumps((predictor, contention_estimator))
         if model_cache is not None and cache_key is not None:
             model_cache.store(cache_key, models_blob)
-    partitioner_blob = pickle.dumps(partitioner)
+    # Warm a copy (the caller's partitioner stays as passed): every shard
+    # unpickles this template, so each key is planned once per run
+    # instead of once per shard.
+    template = pickle.loads(pickle.dumps(partitioner))
+    prewarmed = 0
+    if contention_estimator is not None:
+        bound = contention_estimator.max_slowdown()
+        for member in template if isinstance(template, list) else [template]:
+            prewarmed += member.warm(bound)
+    partitioner_blob = pickle.dumps(template)
     shards = plan_shards(dataset, config, settings, shard_size)
     dataset_name = dataset.name
 
@@ -699,6 +716,7 @@ def run_large_scale_sharded(
         if scratch_dir is not None:
             shutil.rmtree(scratch_dir, ignore_errors=True)
     _annotate_supervision(merged, shards, completed, report)
+    merged.extras["partition_cache"]["prewarmed"] = prewarmed
     merged.extras["sharding"]["spill_datasets"] = spill_datasets
     merged.extras["sharding"]["remote_workers"] = list(remote_workers)
     return merged

@@ -112,3 +112,42 @@ class TestCacheEquivalence:
         # Over a 1x..5.75x sweep the tiny model's plan must actually move
         # at least once (otherwise this test exercises nothing).
         assert changes >= 1
+
+
+class TestWarm:
+    @pytest.mark.parametrize("quantum", [0.25, 0.1, 0.3, 0.07])
+    @pytest.mark.parametrize("bound", [0.4, 1.0, 3.3, 9.181104918377715])
+    def test_warms_exactly_the_reachable_keys(
+        self, tiny_profile, quantum, bound
+    ):
+        partitioner = DNNPartitioner(
+            tiny_profile, 35e6, 50e6, slowdown_quantum=quantum
+        )
+        planned = partitioner.warm(bound)
+        grid = np.linspace(1.0, max(1.0, bound), 20_001)
+        reachable = {partitioner.quantize(s) for s in grid}
+        # No key skipped, none extra, and each planned exactly once.
+        assert set(partitioner._cache) == reachable
+        assert planned == len(reachable) == partitioner.cache_misses
+        assert partitioner.warm(bound) == 0
+        misses = partitioner.cache_misses
+        for s in grid[::97]:
+            partitioner.partition(s)
+        assert partitioner.cache_misses == misses
+
+    def test_warmed_plans_equal_lazy_plans(self, tiny_profile):
+        warm = DNNPartitioner(tiny_profile, 35e6, 50e6)
+        warm.warm(6.0)
+        lazy = DNNPartitioner(tiny_profile, 35e6, 50e6)
+        for key in sorted(warm._cache):
+            expected = lazy.partition(key)
+            got = warm._cache[key]
+            assert got.slowdown == expected.slowdown == key
+            assert got.plan == expected.plan
+            assert got.schedule == expected.schedule
+
+    def test_keys_above_the_bound_stay_lazy(self, partitioner):
+        partitioner.warm(2.0)
+        misses = partitioner.cache_misses
+        partitioner.partition(2.6)
+        assert partitioner.cache_misses == misses + 1

@@ -22,6 +22,7 @@ from repro.core.config import PerDNNConfig
 from repro.core.master import MigrationPolicy
 from repro.faults import get_profile
 from repro.overload import OverloadConfig, SheddingPolicy
+from repro.partitioning.partitioner import DNNPartitioner
 from repro.simulation.large_scale import (
     SimulationSettings,
     fast_simulate_enabled,
@@ -391,6 +392,71 @@ class TestMigrationToggle:
         with reference_migrate():
             assert not fast_migrate_enabled()
         assert fast_migrate_enabled()
+
+
+class TestPrewarmedTemplate:
+    """The driver warms the partitioner template every shard unpickles.
+
+    Plans are a pure function of their quantized key, so how warm the
+    template starts must never show in the merged bytes — only in how
+    many plans the shards re-solve.
+    """
+
+    @pytest.mark.parametrize("spill", [False, True])
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize(
+        "subsystem", ["plain", "both", "no-estimator"]
+    )
+    def test_cold_and_hand_warmed_templates_byte_identical(
+        self, dataset, tiny_profile, workers, spill, subsystem
+    ):
+        # "both" degrades under overload (inflated keys past the
+        # estimator bound); "no-estimator" takes the analytic fallback,
+        # which the driver does not warm.  Both rely on lazy shard plans.
+        if subsystem == "no-estimator":
+            settings = make_settings(use_contention_estimator=False)
+        else:
+            settings = make_settings(**SUBSYSTEMS[subsystem])
+        cold = DNNPartitioner(tiny_profile, uplink_bps=35e6, downlink_bps=50e6)
+        warmed = DNNPartitioner(
+            tiny_profile, uplink_bps=35e6, downlink_bps=50e6
+        )
+        warmed.warm(40.0)
+        from_cold = run_sharded(
+            dataset, cold, settings, workers=workers, spill_datasets=spill
+        )
+        from_warmed = run_sharded(
+            dataset, warmed, settings, workers=workers, spill_datasets=spill
+        )
+        assert from_cold.telemetry.dumps() == from_warmed.telemetry.dumps()
+        assert from_cold.uplink == from_warmed.uplink
+        # The caller's partitioner is left as passed.
+        assert cold.cache_misses == 0 and not cold._cache
+
+    def test_default_estimator_leaves_shards_nothing_to_plan(
+        self, dataset, tiny_profile
+    ):
+        partitioner = DNNPartitioner(
+            tiny_profile, uplink_bps=35e6, downlink_bps=50e6
+        )
+        result = run_sharded(dataset, partitioner, make_settings())
+        cache = result.extras["partition_cache"]
+        assert result.extras["sharding"]["shards"] > 1
+        assert cache["hits"] > 0
+        assert cache["misses"] == 0  # summed over every shard
+        assert cache["prewarmed"] > 0
+        assert cache["hit_ratio"] == 1.0
+
+    def test_no_estimator_means_no_warm_up(self, dataset, tiny_profile):
+        partitioner = DNNPartitioner(
+            tiny_profile, uplink_bps=35e6, downlink_bps=50e6
+        )
+        result = run_sharded(
+            dataset, partitioner,
+            make_settings(use_contention_estimator=False),
+        )
+        assert result.extras["partition_cache"]["prewarmed"] == 0
+        assert result.extras["partition_cache"]["misses"] > 0
 
 
 class TestDatasetSpill:

@@ -264,6 +264,12 @@ class TestShardedSimulate:
         out = capsys.readouterr().out
         assert "sharding:" in out
         assert "shards" in out
+        # The driver plans every reachable key once; shards re-plan none.
+        plan_line = next(
+            line for line in out.splitlines() if line.startswith("plan cache:")
+        )
+        assert "/ 0 replans, " in plan_line
+        assert " prewarmed)" in plan_line
 
     def test_sharded_snapshot_has_no_worker_meta(self, capsys, tmp_path):
         # The CI smoke `cmp`s snapshots from different --workers runs, so
