@@ -10,8 +10,6 @@ simulator applies it when ``PerDNNConfig.handover_hysteresis_m > 0``.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable
-
 from repro.geo.geometry import euclidean
 from repro.geo.wifi import EdgeServerRegistry
 
@@ -48,23 +46,3 @@ def decide_association(
         return candidate
     return current_server
 
-
-def least_loaded_server(
-    candidates: Iterable[int],
-    load_of: Callable[[int], float],
-    distance_of: Callable[[int], float],
-) -> int | None:
-    """Load-aware server selection for redirected clients.
-
-    Picks the candidate with the lowest load (queue depth or client
-    count), breaking ties by distance and then by server id so the
-    choice is deterministic.  Returns ``None`` for an empty candidate
-    set.
-    """
-    return min(
-        candidates,
-        key=lambda server_id: (
-            load_of(server_id), distance_of(server_id), server_id
-        ),
-        default=None,
-    )

@@ -23,13 +23,11 @@ from enum import Enum
 
 import numpy as np
 
-from repro.core.association import least_loaded_server
 from repro.core.client import MobileClient
 from repro.core.config import PerDNNConfig
 from repro.core.edge_server import EdgeServer
 from repro.estimation.estimator import ContentionEstimator
 from repro.faults import FaultSchedule, record_fault
-from repro.geo.geometry import euclidean
 from repro.geo.wifi import EdgeServerRegistry
 from repro.mobility.predictor import PointPredictor
 from repro.network.traffic import TrafficMeter
@@ -160,7 +158,7 @@ class MasterServer:
         """Is the server up at ``interval`` under the run's fault schedule?"""
         if self.fault_schedule is None:
             return True
-        return not self.fault_schedule.server_down(server_id, interval)
+        return server_id not in self.fault_schedule.servers_down(interval)
 
     def crash_server(self, server_id: int) -> int:
         """Wipe a crashed server's state; returns the cached models lost.
@@ -176,8 +174,14 @@ class MasterServer:
     def association_load(self, server_id: int) -> int:
         """Instantaneous client load on a server (0 if never instantiated).
 
-        Reading the load must not instantiate the server — redirection
-        scans many candidates and only the chosen one should be woken.
+        Reading the load does not instantiate the server.  The large-scale
+        simulator's admission-capacity ``require`` probe in
+        :meth:`redirect_target` does: it calls ``master.server`` on every
+        live candidate, which instantiates each one and opens its
+        admission queue (so each gets an ``overload.queue_depth`` gauge
+        that interval).  That side effect is part of the run's telemetry
+        bytes, so it stays; probing without waking would be a telemetry
+        change of its own.
         """
         server = self._servers.get(server_id)
         return len(server.active_clients) if server is not None else 0
@@ -199,22 +203,31 @@ class MasterServer:
         admission-capacity check).  ``load_of`` defaults to the client
         count; the simulator passes the admission controller's queue
         depth so selection folds in this interval's actual backlog.
+
+        One pass over :meth:`EdgeServerRegistry.servers_near` in its
+        cell-sorted order: ``require`` runs once on every candidate that
+        is neither excluded nor down, and the lowest ``(load, distance,
+        server id)`` wins — ties break by distance, then by id.  Returns
+        ``None`` when no candidate qualifies.
         """
         excluded = set(exclude)
-        candidates = [
-            server_id
-            for server_id in self.registry.servers_within(position, radius_m)
-            if server_id not in excluded
-            and self.server_available(server_id, interval)
-            and (require is None or require(server_id))
-        ]
-        return least_loaded_server(
-            candidates,
-            load_of or self.association_load,
-            lambda server_id: euclidean(
-                position, self.registry.server_location(server_id)
-            ),
+        down = (
+            self.fault_schedule.servers_down(interval)
+            if self.fault_schedule is not None else frozenset()
         )
+        load_of = load_of or self.association_load
+        best: tuple[float, float, int] | None = None
+        for server_id, distance in self.registry.servers_near(
+            position, radius_m
+        ):
+            if server_id in excluded or server_id in down:
+                continue
+            if require is not None and not require(server_id):
+                continue
+            key = (load_of(server_id), distance, server_id)
+            if best is None or key < best:
+                best = key
+        return None if best is None else best[2]
 
     # ------------------------------------------------------------------
     # Planning

@@ -132,15 +132,27 @@ class FaultSchedule:
                     raise ValueError(
                         f"overlapping crash windows for server {server_id}"
                     )
+        # interval -> ids of the servers down then; the schedule never
+        # changes, so each interval's set is computed once.
+        self._down_at: dict[int, frozenset[int]] = {}
 
     # ------------------------------------------------------------------
     # Server availability
     # ------------------------------------------------------------------
+    def servers_down(self, interval: int) -> frozenset[int]:
+        """Ids of every server down at ``interval`` (memoized per interval)."""
+        down = self._down_at.get(interval)
+        if down is None:
+            down = frozenset(
+                server_id
+                for server_id, windows in self._down.items()
+                if any(w.contains(interval) for w in windows)
+            )
+            self._down_at[interval] = down
+        return down
+
     def server_down(self, server_id: int, interval: int) -> bool:
-        windows = self._down.get(server_id)
-        if not windows:
-            return False
-        return any(w.contains(interval) for w in windows)
+        return server_id in self.servers_down(interval)
 
     def crash_starts(self, interval: int) -> tuple[int, ...]:
         """Ids of servers that crash exactly at ``interval`` (sorted)."""

@@ -12,10 +12,18 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.geo.hexgrid import HexCell, HexGrid
+
+
+class _RadiusIndex(NamedTuple):
+    centers: np.ndarray  # float64, (n_servers, 2)
+    ids: list[int]
+    xs: list[float]  # centers[:, 0] as Python floats
+    ys: list[float]  # centers[:, 1] as Python floats
 
 
 class EdgeServerRegistry:
@@ -25,10 +33,11 @@ class EdgeServerRegistry:
         self.grid = grid
         self._cell_to_server: dict[HexCell, int] = {}
         self._server_to_cell: dict[int, HexCell] = {}
-        # Flat views of every allocated server (centres, cells, ids) in
-        # cell-sorted order, built lazily for the vectorized radius query
-        # and invalidated whenever a server is allocated.
-        self._radius_index: tuple[np.ndarray, list[int]] | None = None
+        # Flat views of every allocated server in cell-sorted order
+        # (centre array, ids, and Python-float copies of the centre
+        # columns), built lazily for the radius queries and invalidated
+        # whenever a server is allocated.
+        self._radius_index: _RadiusIndex | None = None
 
     @classmethod
     def from_visited_points(
@@ -109,12 +118,14 @@ class EdgeServerRegistry:
     def server_for_cell(self, cell: HexCell) -> int | None:
         return self._cell_to_server.get(cell)
 
-    def _build_radius_index(self) -> tuple[np.ndarray, list[int]]:
+    def _build_radius_index(self) -> _RadiusIndex:
         """Centres/ids of every allocated server, sorted by cell ``(q, r)``.
 
         The sort matches the order :meth:`~repro.geo.hexgrid.HexGrid.cells_within`
         returns cells in, so the vectorized radius query below reproduces
-        the reference enumeration order exactly.
+        the reference enumeration order exactly.  The centre columns are
+        also kept as Python-float lists: the exact per-survivor distance
+        test reads those instead of numpy scalars (same values).
         """
         index = self._radius_index
         if index is not None:
@@ -127,14 +138,16 @@ class EdgeServerRegistry:
             )
         else:
             centers = np.empty((0, 2), dtype=float)
-        index = (centers, ids)
+        index = _RadiusIndex(
+            centers, ids, centers[:, 0].tolist(), centers[:, 1].tolist()
+        )
         self._radius_index = index
         return index
 
-    def servers_within(
+    def servers_near(
         self, point: tuple[float, float], distance: float
-    ) -> list[int]:
-        """Ids of allocated servers whose cell centre is within ``distance``.
+    ) -> list[tuple[int, float]]:
+        """``(server_id, centre distance)`` for every server within ``distance``.
 
         Equivalent to scanning :meth:`HexGrid.cells_within` for allocated
         cells (kept as :meth:`_servers_within_reference`), but instead of
@@ -142,26 +155,35 @@ class EdgeServerRegistry:
         array: a vectorized squared-distance prefilter with a safety
         margin, then the exact ``math.hypot(...) <= distance`` comparison
         the reference uses on the few survivors.  Same servers, same
-        (cell-sorted) order, same float comparisons.
+        (cell-sorted) order, same float comparisons; each pair carries the
+        ``hypot`` it was tested with, which equals
+        ``euclidean(point, server_location(server_id))``.
         """
         if distance < 0:
             raise ValueError("distance must be non-negative")
-        centers, ids = self._build_radius_index()
+        centers, ids, xs, ys = self._build_radius_index()
         if not ids:
             return []
-        x, y = point
+        x, y = float(point[0]), float(point[1])
         dx = centers[:, 0] - x
         dy = centers[:, 1] - y
         # Superset prefilter: hypot is correctly rounded, so anything it
         # reports within `distance` has squared distance at most a hair
         # above distance**2; the margin covers that hair.
         threshold = (distance * (1.0 + 1e-9)) ** 2 + 1e-9
-        candidates = np.nonzero(dx * dx + dy * dy <= threshold)[0]
-        return [
-            ids[i]
-            for i in candidates.tolist()
-            if math.hypot(centers[i, 0] - x, centers[i, 1] - y) <= distance
-        ]
+        near = []
+        for i in np.nonzero(dx * dx + dy * dy <= threshold)[0].tolist():
+            d = math.hypot(xs[i] - x, ys[i] - y)
+            if d <= distance:
+                near.append((ids[i], d))
+        return near
+
+    def servers_within(
+        self, point: tuple[float, float], distance: float
+    ) -> list[int]:
+        """Ids of allocated servers whose cell centre is within ``distance``
+        (the ids of :meth:`servers_near`, in its order)."""
+        return [server_id for server_id, _ in self.servers_near(point, distance)]
 
     def servers_within_batch(
         self,
@@ -183,7 +205,7 @@ class EdgeServerRegistry:
         if distance < 0:
             raise ValueError("distance must be non-negative")
         points = list(points)
-        centers, ids = self._build_radius_index()
+        centers, ids, _, _ = self._build_radius_index()
         if not ids or not points:
             return [[] for _ in points]
         pts = np.asarray(points, dtype=float).reshape(len(points), 2)

@@ -9,15 +9,19 @@ right-hand plot of Fig 4.
 :class:`~repro.ml.tree.FlatTree`) into one concatenated node table, so
 ``predict`` traverses *all trees for all rows* in a single
 level-synchronous loop — the planner-side hot path of the large-scale
-simulator.  The per-tree node walk remains available as
-``_predict_reference`` and via :func:`repro.ml.tree.reference_predict`;
-both paths are bit-for-bit identical (same comparisons, same leaf values,
-same ``mean(axis=0)`` reduction).
+simulator.  A one-row ``predict`` (the lazy per-server GPU ping of an
+overload run) instead walks each tree over Python-list copies of that
+table, which costs a fraction of the array loop's per-level overhead.
+The per-tree node walk remains available as ``_predict_reference`` and
+via :func:`repro.ml.tree.reference_predict`; all paths are bit-for-bit
+identical (same comparisons, same leaf values, same ``mean(axis=0)``
+reduction).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -87,6 +91,37 @@ class _StackedTrees:
             active = active[self.feature[node[active]] >= 0]
         return self.value[node].reshape(n_trees, n)
 
+    @cached_property
+    def _lists(self) -> tuple[list, list, list, list, list, list]:
+        """The node table as Python lists, built on first single-row use."""
+        return (
+            self.feature.tolist(), self.threshold.tolist(),
+            self.value.tolist(), self.left.tolist(), self.right.tolist(),
+            self.roots.tolist(),
+        )
+
+    def __getstate__(self) -> dict:
+        # The list copies are a per-process cache; never pickle them.
+        state = self.__dict__.copy()
+        state.pop("_lists", None)
+        return state
+
+    def predict_row(self, row: list[float]) -> np.ndarray:
+        """Per-tree predictions for one row, shape ``(n_trees, 1)``.
+
+        Equals ``predict_all`` on that row: the same ``<=`` comparisons
+        on the same float values, one tree at a time.
+        """
+        feature, threshold, value, left, right, roots = self._lists
+        leaves = []
+        for node in roots:
+            f = feature[node]
+            while f >= 0:
+                node = left[node] if row[f] <= threshold[node] else right[node]
+                f = feature[node]
+            leaves.append(value[node])
+        return np.array(leaves).reshape(len(roots), 1)
+
 
 class RandomForestRegressor:
     """Bootstrap-aggregated regression trees with feature subsampling."""
@@ -149,7 +184,11 @@ class RandomForestRegressor:
             raise RuntimeError("forest has not been fitted")
         X = self._trees[0]._validate_X(X)
         if fast_predict_enabled() and self._stacked is not None:
-            return self._stacked.predict_all(X).mean(axis=0)
+            if X.shape[0] == 1:
+                per_tree = self._stacked.predict_row(X[0].tolist())
+            else:
+                per_tree = self._stacked.predict_all(X)
+            return per_tree.mean(axis=0)
         predictions = np.stack([tree.predict(X) for tree in self._trees])
         return predictions.mean(axis=0)
 

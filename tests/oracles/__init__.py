@@ -1,0 +1,7 @@
+"""Reference implementations kept as test oracles.
+
+Each module here holds a verbatim copy of a production function as it
+was before a fast path replaced it.  Equivalence tests patch the oracle
+back in and require byte-identical simulator telemetry, so the fast path
+can never drift from the behaviour it replaced.
+"""

@@ -10,7 +10,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.core.master import MigrationPolicy
+from repro.core.master import MasterServer, MigrationPolicy
 from repro.faults import get_profile
 from repro.geo.geometry import BoundingBox
 from repro.geo.hexgrid import HexCell, HexGrid
@@ -105,6 +105,57 @@ class TestFlashCrowd:
         wait = registry.get("overload.queue_wait_seconds")
         assert wait is not None and wait.count > 0
         assert crowded.queue_wait_p99 >= 0.0
+
+
+class TestRedirectProbe:
+    def test_capacity_probe_wakes_every_live_candidate(
+        self, tiny_partitioner, monkeypatch
+    ):
+        # The simulator's redirect ``require`` probe calls
+        # ``master.server`` on every live candidate it scans, so each one
+        # is instantiated and gets an admission queue (and a queue-depth
+        # gauge), not just the chosen target.  That side effect is part
+        # of the telemetry bytes; pin it so a faster scan cannot drop it.
+        original = MasterServer.redirect_target
+        probes = []
+
+        def recording(master, position, interval, radius_m, **kwargs):
+            before = {s.server_id for s in master.instantiated_servers}
+            target = original(master, position, interval, radius_m, **kwargs)
+            if kwargs.get("require") is not None:
+                excluded = set(kwargs.get("exclude", ()))
+                live = {
+                    server_id
+                    for server_id in master.registry.servers_within(
+                        position, radius_m
+                    )
+                    if server_id not in excluded
+                    and master.server_available(server_id, interval)
+                }
+                after = {s.server_id for s in master.instantiated_servers}
+                probes.append((before, after, live))
+            return target
+
+        monkeypatch.setattr(MasterServer, "redirect_target", recording)
+        dataset = kaist_like(
+            np.random.default_rng(8), num_users=16, duration_steps=60
+        )
+        result = one_run(
+            dataset, tiny_partitioner,
+            OverloadConfig(policy=SheddingPolicy.REDIRECT, queue_capacity=1),
+            faults=get_profile("flash-crowd"), steps=20,
+        )
+        assert probes
+        for before, after, live in probes:
+            assert after == before | live
+        # Some redirect woke a server nobody had used yet.
+        assert any(live - before for before, _, live in probes)
+        registry = result.telemetry.registry
+        for _, _, live in probes:
+            for server_id in live:
+                assert registry.get(
+                    "overload.queue_depth", {"server": str(server_id)}
+                ) is not None
 
 
 class TestDegradePolicy:
