@@ -4,9 +4,6 @@ Times the code the large-scale simulator leans on hardest — random-forest
 fit/predict (single-row and batched), partition planning, and a small
 end-to-end :func:`~repro.simulation.large_scale.run_large_scale` run — on
 deterministic seeded inputs, reporting wall-clock medians over repeats.
-The vectorized paths are timed against the pre-vectorization node-walk
-reference (:func:`repro.ml.tree.reference_predict`) on identical inputs,
-so every BENCH_perf.json documents the speedup it ships with.
 
 ``repro bench [--quick] [--out BENCH_perf.json]`` is the CLI entry point;
 ``benchmarks/bench_perf_hotpaths.py`` wraps the same functions as pytest
@@ -30,20 +27,10 @@ SCHEMA = "perdnn-bench/1"
 REQUIRED_RESULTS: dict[str, tuple[str, ...]] = {
     "forest_fit": ("seconds_median",),
     "forest_predict_single": ("seconds_median",),
-    "forest_predict_batch": ("seconds_median", "speedup_vs_reference"),
-    "forest_predict_reference": ("seconds_median",),
+    "forest_predict_batch": ("seconds_median",),
     "partition_planning": ("seconds_median", "cached_seconds_median"),
-    "large_scale": (
-        "seconds_median",
-        "reference_seconds_median",
-        "speedup_vs_reference",
-    ),
-    "large_scale_sharded": (
-        "seconds_median",
-        "reference_seconds_median",
-        "speedup_vs_reference",
-        "clients_steps_per_second",
-    ),
+    "large_scale": ("seconds_median",),
+    "large_scale_sharded": ("seconds_median", "clients_steps_per_second"),
     "large_scale_sharded_checkpointed": (
         "seconds_median",
         "seconds_min",
@@ -110,13 +97,12 @@ def _median_seconds(fn: Callable[[], object], repeats: int) -> float:
 
 
 def bench_forest(quick: bool, seed: int, repeats: int) -> dict:
-    """Forest fit + single/batch/reference predict timings.
+    """Forest fit + single/batch predict timings.
 
     The batch workload is the acceptance workload: a 1000x8 query matrix
     against a 40-tree forest (the planner's per-interval shape at scale).
     """
     from repro.ml.forest import RandomForestRegressor
-    from repro.ml.tree import reference_predict
 
     n_train = 200 if quick else 400
     n_trees = 10 if quick else 40
@@ -147,10 +133,6 @@ def bench_forest(quick: bool, seed: int, repeats: int) -> dict:
             forest.predict(X_query[i : i + 1])
 
     batch_seconds = _median_seconds(lambda: forest.predict(X_query), repeats)
-    with reference_predict():
-        reference_seconds = _median_seconds(
-            lambda: forest.predict(X_query), repeats
-        )
     return {
         "forest_fit": {
             "seconds_median": fit_seconds,
@@ -166,11 +148,6 @@ def bench_forest(quick: bool, seed: int, repeats: int) -> dict:
             "rows": n_rows,
             "features": n_features,
             "trees": n_trees,
-            "speedup_vs_reference": reference_seconds / batch_seconds,
-        },
-        "forest_predict_reference": {
-            "seconds_median": reference_seconds,
-            "rows": n_rows,
         },
     }
 
@@ -224,17 +201,14 @@ def bench_partition(quick: bool, seed: int, repeats: int) -> dict:
 
 
 def bench_large_scale(quick: bool, seed: int, repeats: int) -> dict:
-    """Small end-to-end run, vectorized vs. node-walk reference.
+    """Small end-to-end run.
 
     The predictor and contention estimator are trained once and shared, so
     the timed region is the simulation loop itself — association, batched
-    interval planning, query windows, proactive migration.  Both paths see
-    identical inputs and produce byte-identical telemetry (the equivalence
-    tests pin this); only the wall clock differs.
+    interval planning, query windows, proactive migration.
     """
     from repro.core.config import PerDNNConfig
     from repro.core.master import MigrationPolicy
-    from repro.ml.tree import reference_predict
     from repro.simulation.large_scale import (
         SimulationSettings,
         run_large_scale,
@@ -272,14 +246,9 @@ def bench_large_scale(quick: bool, seed: int, repeats: int) -> dict:
             contention_estimator=estimator,
         )
 
-    seconds = _median_seconds(run, repeats)
-    with reference_predict():
-        reference_seconds = _median_seconds(run, repeats)
     return {
         "large_scale": {
-            "seconds_median": seconds,
-            "reference_seconds_median": reference_seconds,
-            "speedup_vs_reference": reference_seconds / seconds,
+            "seconds_median": _median_seconds(run, repeats),
             "clients": users,
             "steps": max_steps,
         }
@@ -357,43 +326,22 @@ def bench_large_scale_sharded(
     The headline number is throughput — client-intervals simulated per
     wall-clock second — at a population the single-process loop cannot
     sustain interactively (10k+ clients in full mode; a 1k smoke in
-    quick/CI mode).  The reference is the same workload through the
-    unsharded scalar loop (:func:`~repro.simulation.large_scale.
-    reference_simulate`), timed once: at this scale it is far too slow
-    for repeated medians, which is the point of the sharded driver.
+    quick/CI mode).
 
     Predictor and contention estimator are trained once and shared, so
-    both paths time the simulation itself; the sharded run drops the
-    event trace (``record_events=False``) — counters are unaffected and
-    at city scale the trace dominates inter-process transfer.
+    the timed region is the simulation itself; the run drops the event
+    trace (``record_events=False``) — counters are unaffected and at
+    city scale the trace dominates inter-process transfer.
     """
-    from repro.simulation.large_scale import (
-        reference_simulate,
-        run_large_scale,
-    )
-
     workload = workload or _sharded_workload(quick, seed)
     max_steps = workload["max_steps"]
 
     seconds = _median_seconds(lambda: _run_sharded_workload(workload), repeats)
     result = _run_sharded_workload(workload)
     num_clients = result.num_clients
-    with reference_simulate():
-        start = time.perf_counter()
-        run_large_scale(
-            workload["dataset"],
-            _build_partitioner("mobilenet"),
-            workload["settings"],
-            config=workload["config"],
-            predictor=workload["predictor"],
-            contention_estimator=workload["estimator"],
-        )
-        reference_seconds = time.perf_counter() - start
     return {
         "large_scale_sharded": {
             "seconds_median": seconds,
-            "reference_seconds_median": reference_seconds,
-            "speedup_vs_reference": reference_seconds / seconds,
             "clients_steps_per_second": num_clients * max_steps / seconds,
             "clients": num_clients,
             "steps": max_steps,
@@ -973,7 +921,6 @@ def summary_lines(doc: dict) -> list[str]:
         lines.append(
             f"forest predict, batch {batch['rows']}x{batch['features']}:"
             f" {batch['seconds_median'] * 1e3:9.1f} ms"
-            f" ({batch['speedup_vs_reference']:.1f}x vs node walk)"
         )
     plan = results.get("partition_planning")
     if plan is not None:
@@ -987,7 +934,6 @@ def summary_lines(doc: dict) -> list[str]:
         lines.append(
             f"large scale ({sim['clients']} clients, {sim['steps']} steps):"
             f" {sim['seconds_median'] * 1e3:9.1f} ms"
-            f" ({sim['speedup_vs_reference']:.2f}x vs node walk)"
         )
     sharded = results.get("large_scale_sharded")
     if sharded is not None:
@@ -995,8 +941,7 @@ def summary_lines(doc: dict) -> list[str]:
             f"sharded ({sharded['clients']} clients, {sharded['steps']} steps,"
             f" {sharded['shards']} shards x {sharded['workers']} workers):"
             f" {sharded['seconds_median']:9.2f} s"
-            f" ({sharded['clients_steps_per_second']:,.0f} client-steps/s,"
-            f" {sharded['speedup_vs_reference']:.2f}x vs scalar)"
+            f" ({sharded['clients_steps_per_second']:,.0f} client-steps/s)"
         )
     checkpointed = results.get("large_scale_sharded_checkpointed")
     if checkpointed is not None:

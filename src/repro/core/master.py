@@ -17,7 +17,6 @@ and the mobility predictor.  Every simulation interval it:
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Mapping
-from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 
@@ -38,43 +37,6 @@ from repro.telemetry import (
     MigrationEvent,
     Telemetry,
 )
-
-
-#: Global fast-path switch for the proactive-migration pass, mirroring
-#: :data:`repro.simulation.large_scale._FAST_SIMULATE`.  True routes
-#: :meth:`MasterServer.proactive_migrate_batch` through the array-form
-#: passes (grouped plan probes, one slowdown batch per interval, hoisted
-#: byte accounting); False replays the per-client transfer loop.  Both
-#: paths export byte-identical telemetry — the equivalence tests pin
-#: them against each other.
-_FAST_MIGRATE = True
-
-
-def fast_migrate_enabled() -> bool:
-    """Is the array-form proactive-migration pass active?"""
-    return _FAST_MIGRATE
-
-
-def set_fast_migrate(enabled: bool) -> bool:
-    """Enable/disable the array-form pass; returns the previous setting."""
-    global _FAST_MIGRATE
-    previous = _FAST_MIGRATE
-    _FAST_MIGRATE = bool(enabled)
-    return previous
-
-
-@contextmanager
-def reference_migrate():
-    """Force the per-client reference migration loop within the block.
-
-    Used by the equivalence tests and by ``repro bench`` to time the
-    pre-vectorization reference on identical inputs.
-    """
-    previous = set_fast_migrate(False)
-    try:
-        yield
-    finally:
-        set_fast_migrate(previous)
 
 
 class MigrationPolicy(str, Enum):
@@ -342,51 +304,21 @@ class MasterServer:
     # ------------------------------------------------------------------
     # Proactive migration
     # ------------------------------------------------------------------
-    def _byte_budget(self, source_id: int, target_id: int, plan_bytes: float) -> float:
-        """Fractional migration: crowded endpoints cap the transfer."""
-        if source_id in self.crowded_servers or target_id in self.crowded_servers:
-            return min(plan_bytes, self.crowded_byte_budget)
-        return plan_bytes
-
-    def proactive_migrate(self, client: MobileClient, interval: int) -> list[MigrationRecord]:
-        """Predict the client's next location and push layers ahead (§3.B.2)."""
-        if self.policy is not MigrationPolicy.PERDNN:
-            return []
-        assert self.predictor is not None
-        window = client.recent_window()
-        if window is None or client.current_server is None:
-            return []
-        if not self.server_available(client.current_server, interval):
-            return []  # the source is dark; nothing can be pushed from it
-        if (
-            self.fault_schedule is not None
-            and not self.fault_schedule.backhaul_available(interval)
-        ):
-            # Backhaul outage: every proactive transfer is blocked this
-            # interval.  Record it once per client — the master retries
-            # naturally at the next interval.
-            if self.telemetry is not None:
-                record_fault(
-                    self.telemetry, interval, "backhaul_blocked",
-                    server_id=client.current_server,
-                    client_id=client.client_id,
-                )
-            return []
-        predicted = self.predictor.predict_point(window)
-        return self._migrate_to_predicted(client, interval, predicted)
-
     def proactive_migrate_batch(
         self, clients: Iterable[MobileClient], interval: int
     ) -> None:
-        """One interval of :meth:`proactive_migrate` over many clients.
+        """Predict every client's next location and push layers ahead (§3.B.2).
 
-        Collects every eligible client's mobility window and predicts all
-        next locations in a single :meth:`PointPredictor.predict_points`
-        call (whose per-row output is bit-identical to the scalar
-        ``predict_point`` — the predictors compute row-independently), then
-        replays the per-client transfer logic in client order so fault
-        events, GPU-ping RNG draws, and traffic records land exactly as
-        the scalar loop would.
+        Clients without a full mobility window, without a server, or on a
+        dark server are skipped.  A backhaul outage blocks every transfer
+        of the interval (one ``backhaul_blocked`` fault per eligible
+        client; the master retries at the next interval).  Otherwise all
+        next locations come from a single
+        :meth:`PointPredictor.predict_points` call (whose per-row output is
+        bit-identical to the scalar ``predict_point`` — the predictors
+        compute row-independently) and :meth:`_migrate_batch` pushes the
+        server-side layers to every live server within the migration
+        radius of each prediction.
         """
         if self.policy is not MigrationPolicy.PERDNN:
             return
@@ -419,31 +351,34 @@ class MasterServer:
             (float(point[0]), float(point[1])) for point in predictions
         ]
         # One chunked radius query for every predicted location; each row
-        # equals the scalar ``servers_within`` call the per-client path
-        # makes.
+        # equals the scalar ``servers_within`` call.
         targets_list = self.registry.servers_within_batch(
             points, self.config.migration_radius_m
         )
-        if fast_migrate_enabled():
-            self._migrate_batch_fast(
-                [client for client, _ in eligible], targets_list, interval
-            )
-            return
-        for (client, _), point, targets in zip(
-            eligible, points, targets_list
-        ):
-            self._migrate_to_predicted(client, interval, point, targets)
+        self._migrate_batch(
+            [client for client, _ in eligible], targets_list, interval
+        )
 
-    def _migrate_batch_fast(
+    def _migrate_batch(
         self,
         clients: list[MobileClient],
         targets_list: list[list[int]],
         interval: int,
     ) -> None:
-        """Array-form :meth:`_migrate_to_predicted` over one interval.
+        """Push each client's server-side layers to its live targets.
 
-        Byte-identical to replaying the per-client transfer loop,
-        restructured for throughput:
+        Per (client, target) pair, in client order: the target should
+        hold the client's future plan at the target's current slowdown
+        (§3.C.2), capped by the crowded-server budget and the backhaul
+        factor (fractional migration, recorded as a truncation).  The
+        source sends what the target lacks, up to what the source holds;
+        a target that already holds enough only has its TTL refreshed
+        (duplicate send avoided, §3.B.2), a dropped transfer lands
+        nothing, and dead targets are skipped.
+
+        The work is laid out for throughput, byte-identical to a
+        per-client transfer loop (the equivalence tests keep one as
+        their oracle):
 
         * **Pass 1** (client order) resolves each client's source server
           and live targets exactly as the scalar loop would — servers are
@@ -669,144 +604,6 @@ class MasterServer:
             registry.counter("migration.fractional_truncations").inc(
                 truncations
             )
-
-    def _migrate_to_predicted(
-        self,
-        client: MobileClient,
-        interval: int,
-        predicted: tuple[float, float],
-        targets: list[int] | None = None,
-    ) -> list[MigrationRecord]:
-        """Transfer layers toward one client's predicted next location.
-
-        ``targets`` lets the batched caller hand in a precomputed
-        ``servers_within(predicted, migration_radius_m)`` row.
-        """
-        if targets is None:
-            targets = self.registry.servers_within(
-                predicted, self.config.migration_radius_m
-            )
-        source = self.server(client.current_server)
-        version = client.model_version
-        source_bytes = source.cached_bytes(client.client_id, version)
-        if source_bytes <= 0:
-            return []  # nothing to send yet (client still uploading)
-        backhaul_factor = (
-            self.fault_schedule.backhaul_factor(interval)
-            if self.fault_schedule is not None else 1.0
-        )
-        # Live targets are resolved first so all their GPU pings happen in
-        # one batched slowdown prediction; the per-target transfer work
-        # below draws no randomness, so the batched ping order equals the
-        # scalar loop's order and same-seed runs are unchanged.
-        live_targets: list[EdgeServer] = []
-        for target_id in targets:
-            if target_id == source.server_id:
-                continue
-            if not self.server_available(target_id, interval):
-                # Dead servers get no future plans — migrating to them
-                # would burn backhaul bytes into the void.
-                if self.telemetry is not None:
-                    self.telemetry.registry.counter(
-                        "resilience.dead_target_skips"
-                    ).inc()
-                continue
-            live_targets.append(self.server(target_id))
-        slowdowns = self.estimate_slowdowns(live_targets)
-        partition = self.partitioner_for(client.client_id).partition
-        records: list[MigrationRecord] = []
-        for target in live_targets:
-            target_id = target.server_id
-            # Future partitioning plan, with the *current* GPU workload of
-            # the target (assumed stable over the next interval, §3.C.2).
-            future_plan = partition(slowdowns[target_id])
-            needed = self._byte_budget(
-                source.server_id, target_id, future_plan.server_bytes
-            )
-            if backhaul_factor < 1.0:
-                # Degraded backhaul: only a fraction of the plan fits in
-                # this interval's transfer budget (fractional migration
-                # under duress, same mechanism as crowded servers).
-                needed = min(needed, backhaul_factor * future_plan.server_bytes)
-            if (
-                self.telemetry is not None
-                and needed < future_plan.server_bytes
-            ):
-                self.telemetry.trace.record(
-                    FractionalTruncationEvent(
-                        interval=interval,
-                        client_id=client.client_id,
-                        source_server=source.server_id,
-                        target_server=target_id,
-                        plan_bytes=future_plan.server_bytes,
-                        budget_bytes=needed,
-                    )
-                )
-                self.telemetry.registry.counter(
-                    "migration.fractional_truncations"
-                ).inc()
-            already = target.cached_bytes(client.client_id, version)
-            if already >= needed - 1e-6:
-                # Duplicate send avoided; just reset the TTL (§3.B.2).
-                target.refresh_ttl(
-                    client.client_id, interval, self.config.ttl_intervals,
-                    version,
-                )
-                continue
-            # Send as much as the source holds, up to what is needed.
-            sendable = min(needed, source_bytes)
-            delta = sendable - already
-            if delta <= 0:
-                target.refresh_ttl(
-                    client.client_id, interval, self.config.ttl_intervals,
-                    version,
-                )
-                continue
-            if (
-                self.fault_schedule is not None
-                and self.fault_schedule.migration_dropped(
-                    client.client_id, source.server_id, target_id, interval
-                )
-            ):
-                # The transfer fails in flight: no bytes land, no traffic
-                # is billed.  The master retries at the next interval's
-                # proactive pass (the target still lacks the bytes).
-                if self.telemetry is not None:
-                    record_fault(
-                        self.telemetry, interval, "migration_drop",
-                        server_id=target_id, client_id=client.client_id,
-                    )
-                continue
-            target.add_bytes(
-                client.client_id, delta, interval, self.config.ttl_intervals,
-                version,
-            )
-            if self.traffic_meter is not None:
-                self.traffic_meter.record(
-                    interval, source.server_id, target_id, delta
-                )
-            record = MigrationRecord(
-                client_id=client.client_id,
-                source_server=source.server_id,
-                target_server=target_id,
-                nbytes=delta,
-                interval=interval,
-            )
-            records.append(record)
-            self.migrations.append(record)
-            if self.telemetry is not None:
-                self.telemetry.registry.counter("migration.count").inc()
-                self.telemetry.registry.counter("migration.bytes").inc(delta)
-                self.telemetry.trace.record(
-                    MigrationEvent(
-                        interval=interval,
-                        client_id=client.client_id,
-                        source_server=source.server_id,
-                        target_server=target_id,
-                        nbytes=delta,
-                    )
-                )
-        return records
 
     def expire_caches(self, interval: int) -> None:
         for server in self._servers.values():

@@ -150,11 +150,11 @@ class EdgeServerRegistry:
         """``(server_id, centre distance)`` for every server within ``distance``.
 
         Equivalent to scanning :meth:`HexGrid.cells_within` for allocated
-        cells (kept as :meth:`_servers_within_reference`), but instead of
-        enumerating candidate cells it filters the allocated-server centre
-        array: a vectorized squared-distance prefilter with a safety
-        margin, then the exact ``math.hypot(...) <= distance`` comparison
-        the reference uses on the few survivors.  Same servers, same
+        cells, but instead of enumerating candidate cells it filters the
+        allocated-server centre array: a vectorized squared-distance
+        prefilter with a safety margin, then the exact ``math.hypot(...)
+        <= distance`` comparison the cell scan uses on the few survivors.
+        Same servers, same
         (cell-sorted) order, same float comparisons; each pair carries the
         ``hypot`` it was tested with, which equals
         ``euclidean(point, server_location(server_id))``.
@@ -235,14 +235,3 @@ class EdgeServerRegistry:
                     ]
                 )
         return out
-
-    def _servers_within_reference(
-        self, point: tuple[float, float], distance: float
-    ) -> list[int]:
-        """Reference radius query: enumerate cells, probe the allocation."""
-        servers = []
-        for cell in self.grid.cells_within(point, distance):
-            server_id = self._cell_to_server.get(cell)
-            if server_id is not None:
-                servers.append(server_id)
-        return servers

@@ -12,10 +12,9 @@ level-synchronous loop — the planner-side hot path of the large-scale
 simulator.  A one-row ``predict`` (the lazy per-server GPU ping of an
 overload run) instead walks each tree over Python-list copies of that
 table, which costs a fraction of the array loop's per-level overhead.
-The per-tree node walk remains available as ``_predict_reference`` and
-via :func:`repro.ml.tree.reference_predict`; all paths are bit-for-bit
-identical (same comparisons, same leaf values, same ``mean(axis=0)``
-reduction).
+Both are bit-for-bit identical to the per-tree node walk they replaced
+(same comparisons, same leaf values, same ``mean(axis=0)`` reduction);
+the equivalence tests keep that walk as their oracle.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from repro.ml.tree import RegressionTree, fast_predict_enabled
+from repro.ml.tree import RegressionTree
 
 
 @dataclass(frozen=True)
@@ -183,14 +182,11 @@ class RandomForestRegressor:
         if not self._trees:
             raise RuntimeError("forest has not been fitted")
         X = self._trees[0]._validate_X(X)
-        if fast_predict_enabled() and self._stacked is not None:
-            if X.shape[0] == 1:
-                per_tree = self._stacked.predict_row(X[0].tolist())
-            else:
-                per_tree = self._stacked.predict_all(X)
-            return per_tree.mean(axis=0)
-        predictions = np.stack([tree.predict(X) for tree in self._trees])
-        return predictions.mean(axis=0)
+        if X.shape[0] == 1:
+            per_tree = self._stacked.predict_row(X[0].tolist())
+        else:
+            per_tree = self._stacked.predict_all(X)
+        return per_tree.mean(axis=0)
 
     def predict_per_tree(self, X: np.ndarray) -> np.ndarray:
         """Per-tree predictions, shape ``(n_trees, n_rows)``.
@@ -204,10 +200,7 @@ class RandomForestRegressor:
         """
         if not self._trees:
             raise RuntimeError("forest has not been fitted")
-        X = self._trees[0]._validate_X(X)
-        if fast_predict_enabled() and self._stacked is not None:
-            return self._stacked.predict_all(X)
-        return np.stack([tree.predict(X) for tree in self._trees])
+        return self._stacked.predict_all(self._trees[0]._validate_X(X))
 
     def max_leaf_values(self) -> np.ndarray:
         """Each tree's largest leaf value, shape ``(n_trees,)``.
@@ -223,13 +216,3 @@ class RandomForestRegressor:
                 for tree in self._trees
             ]
         )
-
-    def _predict_reference(self, X: np.ndarray) -> np.ndarray:
-        """Per-tree node-walk ensemble mean (the pre-vectorization path)."""
-        if not self._trees:
-            raise RuntimeError("forest has not been fitted")
-        X = np.asarray(X, dtype=float)
-        predictions = np.stack(
-            [tree._predict_reference(X) for tree in self._trees]
-        )
-        return predictions.mean(axis=0)

@@ -10,51 +10,15 @@ Prediction is array-vectorized: ``fit`` flattens the grown node structure
 into parallel numpy arrays (feature / threshold / value / left / right in
 preorder), and ``predict`` advances every query row one tree level per
 iteration (level-synchronous traversal) instead of walking Python nodes one
-row at a time.  The original node walk survives as
-``RegressionTree._predict_reference`` and can be forced globally with the
-:func:`reference_predict` context manager — equivalence tests and the perf
-harness pin the two paths bit-for-bit against each other.
+row at a time.  The per-row node walk it replaced lives on as a test
+oracle, and the equivalence tests pin the two bit-for-bit.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
-
-#: Global fast-path switch.  True routes ``predict`` through the flattened
-#: arrays; False falls back to the per-row node walk everywhere (trees and
-#: forests).  Toggle via :func:`set_fast_predict` / :func:`reference_predict`.
-_FAST_PREDICT = True
-
-
-def fast_predict_enabled() -> bool:
-    """Is the vectorized flat-array prediction path active?"""
-    return _FAST_PREDICT
-
-
-def set_fast_predict(enabled: bool) -> bool:
-    """Enable/disable the vectorized path; returns the previous setting."""
-    global _FAST_PREDICT
-    previous = _FAST_PREDICT
-    _FAST_PREDICT = bool(enabled)
-    return previous
-
-
-@contextmanager
-def reference_predict():
-    """Force the original node-walking prediction path within the block.
-
-    Used by the equivalence tests and by ``repro bench`` to time the
-    pre-vectorization reference on identical inputs.
-    """
-    previous = set_fast_predict(False)
-    try:
-        yield
-    finally:
-        set_fast_predict(previous)
-
 
 @dataclass
 class _Node:
@@ -294,28 +258,9 @@ class RegressionTree:
         return X
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        if self._root is None:
+        if self._flat is None:
             raise RuntimeError("tree has not been fitted")
-        X = self._validate_X(X)
-        if _FAST_PREDICT and self._flat is not None:
-            return self._flat.predict(X)
-        return self._walk_nodes(X)
-
-    def _predict_reference(self, X: np.ndarray) -> np.ndarray:
-        """Original per-row Python node walk, kept as the equivalence
-        reference for the vectorized path (bit-for-bit identical)."""
-        if self._root is None:
-            raise RuntimeError("tree has not been fitted")
-        return self._walk_nodes(self._validate_X(X))
-
-    def _walk_nodes(self, X: np.ndarray) -> np.ndarray:
-        out = np.empty(X.shape[0])
-        for i, row in enumerate(X):
-            node = self._root
-            while not node.is_leaf:
-                node = node.left if row[node.feature] <= node.threshold else node.right
-            out[i] = node.value
-        return out
+        return self._flat.predict(self._validate_X(X))
 
     @property
     def depth(self) -> int:

@@ -9,7 +9,6 @@
 """
 
 from repro.simulation.query_loop import (
-    QueryRecord,
     WindowOutcome,
     run_local_window,
     run_query_window,
@@ -23,10 +22,7 @@ from repro.simulation.single_client import (
 from repro.simulation.large_scale import (
     LargeScaleResult,
     SimulationSettings,
-    fast_simulate_enabled,
-    reference_simulate,
     run_large_scale,
-    set_fast_simulate,
 )
 from repro.simulation.multi_handoff import (
     HandoffChainResult,
@@ -53,7 +49,6 @@ from repro.simulation.supervisor import (
 )
 
 __all__ = [
-    "QueryRecord",
     "WindowOutcome",
     "run_local_window",
     "run_query_window",
@@ -64,9 +59,6 @@ __all__ = [
     "SimulationSettings",
     "LargeScaleResult",
     "run_large_scale",
-    "fast_simulate_enabled",
-    "set_fast_simulate",
-    "reference_simulate",
     "ShardPlan",
     "plan_shards",
     "run_large_scale_sharded",

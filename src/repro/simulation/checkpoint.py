@@ -5,8 +5,8 @@ deterministic JSON document (``shard-00042.json``) the moment the
 supervisor delivers it, via an atomic temp-file + rename so a crash or
 Ctrl-C can never leave a half-written shard behind.  A ``MANIFEST.json``
 pins the run's **settings fingerprint** — a digest over the dataset's
-actual trajectory bytes, the simulation settings, the decomposition, and
-the fast-path toggles — so resuming against a checkpoint produced by any
+actual trajectory bytes, the simulation settings, the decomposition, the
+model pool and the event-trace setting — so resuming against a checkpoint produced by any
 different run fails fast instead of silently merging incompatible shards.
 
 The spill doubles as the streaming telemetry export ROADMAP item 1(c)
@@ -49,16 +49,13 @@ def run_fingerprint(
     shard_size: int,
     model_names: list[str],
     record_events: bool,
-    fast_simulate: bool,
-    fast_predict: bool,
-    fast_migrate: bool = True,
 ) -> str:
     """Digest everything that determines the per-shard results.
 
     Two invocations agree on the fingerprint iff they would produce
     byte-identical shards: same trajectory data (hashed point-by-point,
     not by name), same settings/config, same decomposition target, same
-    model pool, and same fast-path/event-trace toggles.  ``workers`` is
+    model pool, and same event-trace setting.  ``workers`` is
     deliberately absent — shard results never depend on it.
     """
     hasher = hashlib.sha256()
@@ -96,9 +93,6 @@ def run_fingerprint(
         "shard_size": shard_size,
         "models": list(model_names),
         "record_events": bool(record_events),
-        "fast_simulate": bool(fast_simulate),
-        "fast_predict": bool(fast_predict),
-        "fast_migrate": bool(fast_migrate),
     }
     hasher.update(
         json.dumps(payload, sort_keys=True, default=str).encode()
@@ -116,7 +110,7 @@ def model_fingerprint(
 
     Strictly coarser than :func:`run_fingerprint`: two runs that agree
     here train bit-identical predictor/estimator pairs even if they
-    differ in shard size, fault profile, horizon, or fast-path toggles —
+    differ in shard size, fault profile, horizon, or event-trace setting —
     model training consumes only the train split (dataset +
     ``replay_fraction``), the run seed, the policy (whether a mobility
     predictor is fit at all), the prediction history length, the
@@ -459,7 +453,8 @@ class CheckpointStore:
             raise ValueError(
                 f"stale checkpoint in {self.directory!r}: it was written "
                 "by a run with different settings (dataset, seed, "
-                "shard_size, faults/overload, or fast-path toggles); "
+                "shard_size, faults/overload, or an earlier fingerprint "
+                "layout); "
                 "use a fresh --checkpoint-dir or rerun with the original "
                 "settings"
             )

@@ -23,12 +23,10 @@ per-server per-interval backhaul traffic (§4.B.4, Fig 10).
 from __future__ import annotations
 
 from collections.abc import Mapping
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.association import decide_association
 from repro.core.client import MobileClient
 from repro.core.config import PerDNNConfig
 from repro.core.master import MasterServer, MigrationPolicy
@@ -64,42 +62,6 @@ from repro.telemetry import (
     QueryWindowEvent,
     Telemetry,
 )
-
-#: Global fast-path switch for the interval loop, mirroring
-#: :data:`repro.ml.tree._FAST_PREDICT`.  True routes movement/association
-#: through the struct-of-arrays passes and query windows through the
-#: memoized steady-state integrator; False replays the original scalar
-#: loop everywhere.  Both paths export byte-identical telemetry — the
-#: equivalence tests pin them against each other.
-_FAST_SIMULATE = True
-
-
-def fast_simulate_enabled() -> bool:
-    """Is the vectorized interval loop active?"""
-    return _FAST_SIMULATE
-
-
-def set_fast_simulate(enabled: bool) -> bool:
-    """Enable/disable the vectorized loop; returns the previous setting."""
-    global _FAST_SIMULATE
-    previous = _FAST_SIMULATE
-    _FAST_SIMULATE = bool(enabled)
-    return previous
-
-
-@contextmanager
-def reference_simulate():
-    """Force the scalar reference interval loop within the block.
-
-    Used by the equivalence tests and by ``repro bench`` to time the
-    pre-vectorization reference on identical inputs.
-    """
-    previous = set_fast_simulate(False)
-    try:
-        yield
-    finally:
-        set_fast_simulate(previous)
-
 
 @dataclass(frozen=True)
 class SimulationSettings:
@@ -318,13 +280,13 @@ def _batched_query_windows(
 ) -> None:
     """Phase 3 (query windows) over all active clients in one batched pass.
 
-    Byte-identical to the per-client scalar fast path, restructured for
-    throughput:
+    Byte-identical to :func:`_per_client_query_windows`, restructured
+    for throughput:
 
     * one partitioning plan per distinct ``(server, partitioner)`` pair
       instead of one ``plan_for`` call per client, with the partitioner's
       plan-cache hit counters compensated so the per-run cache stats match
-      the scalar path's one-``partition()``-call-per-client semantics;
+      the per-client loop's one-``partition()``-call-per-client semantics;
     * order-free int counters (windows, completed queries, per-model
       tallies, cold-start verdicts, plan calls) accumulated locally and
       incremented once per interval — final counter values are exact ints
@@ -336,15 +298,15 @@ def _batched_query_windows(
     * steady-state windows (nothing left to upload, or uploads gated off)
       resolved via the shared memoized count recurrence without calling
       :func:`run_query_window`; windows with upload progress fall through
-      to the exact scalar integrator, which emits its own telemetry
-      in-place so histogram order is preserved.
+      to :func:`run_query_window`'s exact integrator, which emits its
+      own telemetry in-place so histogram order is preserved.
 
     Overload and routing runs keep the per-client loop (shedding decides
     per client whether a server is planned at all, and routing meters
-    per-client backhaul), as do reference (non-fast) runs.  With
-    ``record_timings`` enabled the scalar path would additionally record
-    per-call ``master.plan.seconds`` samples; timings are wall-clock and
-    never byte-deterministic, so the batched path does not reproduce them.
+    per-client backhaul).  With ``record_timings`` enabled the per-client
+    loop would additionally record per-call ``master.plan.seconds``
+    samples; timings are wall-clock and never byte-deterministic, so the
+    batched path does not reproduce them.
     """
     trace = telemetry.trace
     events_on = not isinstance(trace, NullEventTrace)
@@ -507,7 +469,7 @@ def _batched_query_windows(
                         uplink_bps = config.network.degraded(factor).uplink_bps
         if not uploading or uplink_bps == 0.0 or cached >= total_bytes:
             # Steady window: constant latency, no byte movement (matches
-            # run_query_window's fast branch value for value).
+            # run_query_window's steady branch value for value).
             latency = schedule.latency_after_bytes(cached)
             key = (0.0, latency, query_gap, interval)
             count = memo_get(key)
@@ -544,7 +506,6 @@ def _batched_query_windows(
                 query_gap=query_gap,
                 uploading=uploading,
                 telemetry=metrics,
-                fast=True,
                 count_memo=count_memo,
             )
             count = outcome.count
@@ -600,6 +561,294 @@ def _batched_query_windows(
         )
     if any_coldstart:
         metrics.counter("sim.coldstart_queries").inc(coldstart_queries)
+
+
+def _per_client_query_windows(
+    active: list[MobileClient],
+    master: MasterServer,
+    metrics,
+    telemetry: Telemetry,
+    config: PerDNNConfig,
+    interval: float,
+    step: int,
+    optimal: bool,
+    faults_on: bool,
+    fault_schedule: FaultSchedule | None,
+    local_this_step: set[int],
+    associated_this_step: set[int],
+    count_memo: dict,
+    admission: AdmissionController | None = None,
+    routing: bool = False,
+) -> None:
+    """Phase 3 (query windows), one client at a time.
+
+    The path of overload and routing runs: with ``admission`` the
+    breaker, admission control and shedding policy decide per client
+    whether (and where, and under which plan) its window is served, and
+    ``routing`` meters each client's relayed tensors over the backhaul.
+    Plain and fault runs take :func:`_batched_query_windows`, which the
+    equivalence tests pin byte for byte against this loop.
+    """
+    overload_on = admission is not None
+    overload_cfg = admission.config if overload_on else None
+    registry = master.registry
+    grid = registry.grid
+    meter = master.traffic_meter
+    for client in active:
+        if faults_on:
+            metrics.counter("resilience.client_intervals").inc()
+            if client.client_id in local_this_step:
+                # Graceful degradation: every query still completes,
+                # on-device at the partitioner's all-local latency.
+                client_partitioner = master.partitioner_for(
+                    client.client_id
+                )
+                outcome = run_local_window(
+                    client_partitioner.local_latency(),
+                    interval,
+                    config.query_gap_seconds,
+                    telemetry=metrics,
+                    count_memo=count_memo,
+                )
+                metrics.counter("resilience.local_intervals").inc()
+                metrics.counter(
+                    "sim.queries",
+                    {"model": client_partitioner.graph.name},
+                ).inc(outcome.count)
+                telemetry.trace.record(
+                    QueryWindowEvent(
+                        interval=step,
+                        client_id=client.client_id,
+                        server_id=None,
+                        queries=outcome.count,
+                        coldstart=False,
+                        end_bytes=0.0,
+                    )
+                )
+                continue
+        assert client.current_server is not None
+        server = master.server(client.current_server)
+        # Overload protection: breaker gate, then admission control,
+        # then the shedding policy.  ``overload_label`` partitions every
+        # offered window into admitted/shed/redirected/degraded.
+        overload_label: str | None = None
+        queue_wait: float | None = None
+        if overload_on:
+            metrics.counter("overload.offered").inc()
+            breaker = client.breaker_for(
+                server.server_id,
+                overload_cfg.breaker_failure_threshold,
+                overload_cfg.breaker_open_intervals,
+            )
+            before = breaker.state
+            allowed = breaker.allows(step)
+            record_breaker_transition(
+                telemetry, step, client.client_id, server.server_id,
+                before, breaker.state,
+            )
+            decision = admission.try_admit(server) if allowed else None
+            if decision is not None and decision.admitted:
+                before = breaker.state
+                breaker.record_success(step)
+                record_breaker_transition(
+                    telemetry, step, client.client_id, server.server_id,
+                    before, breaker.state,
+                )
+                overload_label = "admitted"
+                queue_wait = decision.queue_wait
+            elif (
+                decision is not None
+                and overload_cfg.policy is SheddingPolicy.DEGRADE
+            ):
+                # Still served here, under a client-heavier plan; the
+                # breaker stays untouched — the query was not refused.
+                overload_label = "degraded"
+            else:
+                # Rejected (queue full) or skipped (breaker open).
+                if decision is not None:
+                    before = breaker.state
+                    breaker.record_failure(step)
+                    record_breaker_transition(
+                        telemetry, step, client.client_id,
+                        server.server_id, before, breaker.state,
+                    )
+                target_id = None
+                if overload_cfg.policy is SheddingPolicy.REDIRECT:
+                    target_id = master.redirect_target(
+                        client.position, step,
+                        overload_cfg.redirect_radius_m,
+                        load_of=admission.depth_of,
+                        exclude=(server.server_id,),
+                        require=lambda s: admission.has_capacity(
+                            master.server(s)
+                        ),
+                    )
+                if target_id is not None:
+                    target = master.server(target_id)
+                    target_decision = admission.try_admit(target)
+                    assert target_decision.admitted
+                    server = target  # served by the neighbour
+                    overload_label = "redirected"
+                    queue_wait = target_decision.queue_wait
+                else:
+                    overload_label = "shed"
+            metrics.counter(f"overload.{overload_label}").inc()
+        if overload_label == "shed":
+            # Load shedding: the window completes on the client, at
+            # the all-local latency — no query is ever dropped.
+            client_partitioner = master.partitioner_for(client.client_id)
+            outcome = run_local_window(
+                client_partitioner.local_latency(),
+                interval,
+                config.query_gap_seconds,
+                telemetry=metrics,
+                record_fallback=False,
+                count_memo=count_memo,
+            )
+            metrics.counter(
+                "overload.queries", {"outcome": "shed"}
+            ).inc(outcome.count)
+            metrics.counter(
+                "sim.queries", {"model": client_partitioner.graph.name}
+            ).inc(outcome.count)
+            telemetry.trace.record(
+                QueryWindowEvent(
+                    interval=step,
+                    client_id=client.client_id,
+                    server_id=None,
+                    queries=outcome.count,
+                    coldstart=False,
+                    end_bytes=0.0,
+                )
+            )
+            continue
+        if overload_label == "degraded":
+            plan = master.partitioner_for(client.client_id).degraded(
+                master.estimate_slowdown(server),
+                overload_cfg.degrade_inflation,
+            )
+        else:
+            plan = master.plan_for(server, client.client_id)
+        total_bytes = plan.server_bytes
+        if optimal:
+            cached = total_bytes
+        else:
+            cached = min(
+                server.cached_bytes(
+                    client.client_id, client.model_version
+                ),
+                total_bytes,
+            )
+        # Redirected windows are served away from the association, so
+        # they carry no cold-start verdict for the associated server.
+        if (
+            client.client_id in associated_this_step
+            and overload_label != "redirected"
+        ):
+            threshold = config.hit_byte_fraction * total_bytes
+            hit = total_bytes <= 0 or cached + 1e-6 >= threshold
+            coldstart_label = "hit" if hit else "miss"
+            metrics.counter("sim.cold_start", {"outcome": coldstart_label}).inc()
+            telemetry.trace.record(
+                ColdStartEvent(
+                    interval=step,
+                    client_id=client.client_id,
+                    server_id=server.server_id,
+                    hit=hit,
+                    cached_bytes=cached,
+                    required_bytes=total_bytes,
+                )
+            )
+        overhead = 0.0
+        hops = 0
+        tensors = None
+        if routing:
+            access_cell = grid.cell_of(client.position)
+            home_cell = registry.cell_of_server(server.server_id)
+            hops = grid.hop_distance(access_cell, home_cell)
+            tensors = routed_tensors(plan.costs, plan.plan)
+            overhead = routing_overhead_seconds(config, hops, tensors)
+        uploading = not optimal
+        uplink_bps = config.network.uplink_bps
+        if faults_on and uploading:
+            if not client.upload_allowed(step):
+                uploading = False  # backing off after dropped uploads
+            else:
+                if client.upload_failures > 0:
+                    metrics.counter("resilience.retries").inc()
+                if fault_schedule.upload_dropped(client.client_id, step):
+                    client.record_upload_drop(step)
+                    record_fault(
+                        telemetry, step, "upload_drop",
+                        server_id=client.current_server,
+                        client_id=client.client_id,
+                    )
+                    uploading = False
+                else:
+                    client.record_upload_success()
+                    factor = fault_schedule.uplink_factor(step)
+                    if factor < 1.0:
+                        uplink_bps = config.network.degraded(
+                            factor
+                        ).uplink_bps
+        outcome = run_query_window(
+            plan.schedule,
+            start_bytes=cached,
+            uplink_bps=uplink_bps,
+            duration=interval,
+            query_gap=config.query_gap_seconds,
+            uploading=uploading,
+            latency_overhead=overhead,
+            queue_wait=queue_wait,
+            telemetry=metrics,
+            count_memo=count_memo,
+        )
+        if routing and hops > 0 and outcome.count and tensors is not None:
+            access_server = registry.server_at(client.position)
+            if access_server is not None and access_server != server.server_id:
+                if tensors.uplink_bytes > 0:
+                    meter.record(
+                        step, access_server, server.server_id,
+                        outcome.count * tensors.uplink_bytes,
+                    )
+                if tensors.downlink_bytes > 0:
+                    meter.record(
+                        step, server.server_id, access_server,
+                        outcome.count * tensors.downlink_bytes,
+                    )
+        model_name = master.partitioner_for(client.client_id).graph.name
+        metrics.counter("sim.queries", {"model": model_name}).inc(
+            outcome.count
+        )
+        if overload_label is not None:
+            metrics.counter(
+                "overload.queries", {"outcome": overload_label}
+            ).inc(outcome.count)
+        coldstart = client.client_id in associated_this_step
+        if coldstart:
+            metrics.counter("sim.coldstart_queries").inc(outcome.count)
+        telemetry.trace.record(
+            QueryWindowEvent(
+                interval=step,
+                client_id=client.client_id,
+                server_id=server.server_id,
+                queries=outcome.count,
+                coldstart=coldstart,
+                end_bytes=outcome.end_bytes,
+            )
+        )
+        if not optimal:
+            delta = outcome.end_bytes - cached
+            if delta > 0:
+                server.add_bytes(
+                    client.client_id, delta, step, config.ttl_intervals,
+                    client.model_version,
+                )
+            else:
+                server.refresh_ttl(
+                    client.client_id, step, config.ttl_intervals,
+                    client.model_version,
+                )
 
 
 def run_large_scale(
@@ -687,10 +936,9 @@ def run_large_scale(
         MobileClient(i, trajectory, config.prediction_history)
         for i, trajectory in enumerate(usable)
     ]
-    fast_sim = fast_simulate_enabled()
-    arrays = ClientArrays.from_clients(clients) if fast_sim else None
+    arrays = ClientArrays.from_clients(clients)
     # Steady-state query-window counts recur across clients and steps;
-    # one memo per run amortizes the serial integration (fast path only).
+    # one memo per run amortizes the serial integration.
     count_memo: dict = {}
     model_names = sorted({p.graph.name for p in partitioner_pool})
     result = LargeScaleResult(
@@ -746,21 +994,17 @@ def run_large_scale(
                 client.update_model()
                 metrics.counter("sim.model_updates").inc()
         # 1. Movement and (re-)association.  Advancing first (no client
-        # observes another's move) lets the fast path propose every
-        # client's next association in one struct-of-arrays pass; the
-        # apply loop below is shared with the scalar reference, which
-        # computes each proposal per client instead.
+        # observes another's move) lets one struct-of-arrays pass propose
+        # every client's next association; the loop below applies them.
         associated_this_step: set[int] = set()
         positions = [client.advance() for client in active]
-        proposals = None
-        if fast_sim and active:
-            ids = arrays.refresh(active, positions)
-            proposals = propose_associations(
-                registry,
-                arrays.positions[ids],
-                arrays.current_server[ids],
-                config.handover_hysteresis_m,
-            )
+        ids = arrays.refresh(active, positions)
+        proposals = propose_associations(
+            registry,
+            arrays.positions[ids],
+            arrays.current_server[ids],
+            config.handover_hysteresis_m,
+        )
         for index, client in enumerate(active):
             position = positions[index]
             assert position is not None
@@ -768,14 +1012,8 @@ def run_large_scale(
                 # §3.A routing: stay on the first server; only the access
                 # cell changes as the user moves.
                 continue
-            if proposals is not None:
-                proposed = int(proposals[index])
-                server_id = None if proposed < 0 else proposed
-            else:
-                server_id = decide_association(
-                    registry, position, client.current_server,
-                    config.handover_hysteresis_m,
-                )
+            proposed = int(proposals[index])
+            server_id = None if proposed < 0 else proposed
             assert server_id is not None, "registry covers every trace point"
             if faults_on and fault_schedule.server_down(server_id, step):
                 current = client.current_server
@@ -857,289 +1095,28 @@ def run_large_scale(
                 seen_servers.add(server_id)
                 planned_servers.append(master.server(server_id))
             master.estimate_slowdowns(planned_servers)
-        # 3. Query loops — one batched pass over every client on the fast
-        # path.  Overload and routing runs keep the per-client loop below
-        # (shedding/redirection decide per client what is planned, and
-        # routing meters per-client backhaul transfers).
-        if fast_sim and not overload_on and not routing:
+        # 3. Query loops — one batched pass over every client.  Overload
+        # and routing runs go client by client (shedding/redirection
+        # decide per client what is planned, and routing meters
+        # per-client backhaul transfers).
+        if overload_on or routing:
+            _per_client_query_windows(
+                active, master, metrics, telemetry, config, interval, step,
+                optimal, faults_on, fault_schedule, local_this_step,
+                associated_this_step, count_memo, admission, routing,
+            )
+        else:
             _batched_query_windows(
                 active, master, metrics, telemetry, config, interval, step,
                 optimal, faults_on, fault_schedule, local_this_step,
                 associated_this_step, count_memo,
             )
-            scalar_query_clients = []
-        else:
-            scalar_query_clients = active
-        for client in scalar_query_clients:
-            if faults_on:
-                metrics.counter("resilience.client_intervals").inc()
-                if client.client_id in local_this_step:
-                    # Graceful degradation: every query still completes,
-                    # on-device at the partitioner's all-local latency.
-                    client_partitioner = master.partitioner_for(
-                        client.client_id
-                    )
-                    outcome = run_local_window(
-                        client_partitioner.local_latency(),
-                        interval,
-                        config.query_gap_seconds,
-                        telemetry=metrics,
-                        fast=fast_sim,
-                        count_memo=count_memo,
-                    )
-                    metrics.counter("resilience.local_intervals").inc()
-                    metrics.counter(
-                        "sim.queries",
-                        {"model": client_partitioner.graph.name},
-                    ).inc(outcome.count)
-                    telemetry.trace.record(
-                        QueryWindowEvent(
-                            interval=step,
-                            client_id=client.client_id,
-                            server_id=None,
-                            queries=outcome.count,
-                            coldstart=False,
-                            end_bytes=0.0,
-                        )
-                    )
-                    continue
-            assert client.current_server is not None
-            server = master.server(client.current_server)
-            # Overload protection: breaker gate, then admission control,
-            # then the shedding policy.  ``overload_label`` partitions every
-            # offered window into admitted/shed/redirected/degraded.
-            overload_label: str | None = None
-            queue_wait: float | None = None
-            if overload_on:
-                metrics.counter("overload.offered").inc()
-                breaker = client.breaker_for(
-                    server.server_id,
-                    overload_cfg.breaker_failure_threshold,
-                    overload_cfg.breaker_open_intervals,
-                )
-                before = breaker.state
-                allowed = breaker.allows(step)
-                record_breaker_transition(
-                    telemetry, step, client.client_id, server.server_id,
-                    before, breaker.state,
-                )
-                decision = admission.try_admit(server) if allowed else None
-                if decision is not None and decision.admitted:
-                    before = breaker.state
-                    breaker.record_success(step)
-                    record_breaker_transition(
-                        telemetry, step, client.client_id, server.server_id,
-                        before, breaker.state,
-                    )
-                    overload_label = "admitted"
-                    queue_wait = decision.queue_wait
-                elif (
-                    decision is not None
-                    and overload_cfg.policy is SheddingPolicy.DEGRADE
-                ):
-                    # Still served here, under a client-heavier plan; the
-                    # breaker stays untouched — the query was not refused.
-                    overload_label = "degraded"
-                else:
-                    # Rejected (queue full) or skipped (breaker open).
-                    if decision is not None:
-                        before = breaker.state
-                        breaker.record_failure(step)
-                        record_breaker_transition(
-                            telemetry, step, client.client_id,
-                            server.server_id, before, breaker.state,
-                        )
-                    target_id = None
-                    if overload_cfg.policy is SheddingPolicy.REDIRECT:
-                        target_id = master.redirect_target(
-                            client.position, step,
-                            overload_cfg.redirect_radius_m,
-                            load_of=admission.depth_of,
-                            exclude=(server.server_id,),
-                            require=lambda s: admission.has_capacity(
-                                master.server(s)
-                            ),
-                        )
-                    if target_id is not None:
-                        target = master.server(target_id)
-                        target_decision = admission.try_admit(target)
-                        assert target_decision.admitted
-                        server = target  # served by the neighbour
-                        overload_label = "redirected"
-                        queue_wait = target_decision.queue_wait
-                    else:
-                        overload_label = "shed"
-                metrics.counter(f"overload.{overload_label}").inc()
-            if overload_label == "shed":
-                # Load shedding: the window completes on the client, at
-                # the all-local latency — no query is ever dropped.
-                client_partitioner = master.partitioner_for(client.client_id)
-                outcome = run_local_window(
-                    client_partitioner.local_latency(),
-                    interval,
-                    config.query_gap_seconds,
-                    telemetry=metrics,
-                    record_fallback=False,
-                    fast=fast_sim,
-                    count_memo=count_memo,
-                )
-                metrics.counter(
-                    "overload.queries", {"outcome": "shed"}
-                ).inc(outcome.count)
-                metrics.counter(
-                    "sim.queries", {"model": client_partitioner.graph.name}
-                ).inc(outcome.count)
-                telemetry.trace.record(
-                    QueryWindowEvent(
-                        interval=step,
-                        client_id=client.client_id,
-                        server_id=None,
-                        queries=outcome.count,
-                        coldstart=False,
-                        end_bytes=0.0,
-                    )
-                )
-                continue
-            if overload_label == "degraded":
-                plan = master.partitioner_for(client.client_id).degraded(
-                    master.estimate_slowdown(server),
-                    overload_cfg.degrade_inflation,
-                )
-            else:
-                plan = master.plan_for(server, client.client_id)
-            total_bytes = plan.server_bytes
-            if optimal:
-                cached = total_bytes
-            else:
-                cached = min(
-                    server.cached_bytes(
-                        client.client_id, client.model_version
-                    ),
-                    total_bytes,
-                )
-            # Redirected windows are served away from the association, so
-            # they carry no cold-start verdict for the associated server.
-            if (
-                client.client_id in associated_this_step
-                and overload_label != "redirected"
-            ):
-                threshold = config.hit_byte_fraction * total_bytes
-                hit = total_bytes <= 0 or cached + 1e-6 >= threshold
-                coldstart_label = "hit" if hit else "miss"
-                metrics.counter("sim.cold_start", {"outcome": coldstart_label}).inc()
-                telemetry.trace.record(
-                    ColdStartEvent(
-                        interval=step,
-                        client_id=client.client_id,
-                        server_id=server.server_id,
-                        hit=hit,
-                        cached_bytes=cached,
-                        required_bytes=total_bytes,
-                    )
-                )
-            overhead = 0.0
-            hops = 0
-            tensors = None
-            if routing:
-                access_cell = grid.cell_of(client.position)
-                home_cell = registry.cell_of_server(server.server_id)
-                hops = grid.hop_distance(access_cell, home_cell)
-                tensors = routed_tensors(plan.costs, plan.plan)
-                overhead = routing_overhead_seconds(config, hops, tensors)
-            uploading = not optimal
-            uplink_bps = config.network.uplink_bps
-            if faults_on and uploading:
-                if not client.upload_allowed(step):
-                    uploading = False  # backing off after dropped uploads
-                else:
-                    if client.upload_failures > 0:
-                        metrics.counter("resilience.retries").inc()
-                    if fault_schedule.upload_dropped(client.client_id, step):
-                        client.record_upload_drop(step)
-                        record_fault(
-                            telemetry, step, "upload_drop",
-                            server_id=client.current_server,
-                            client_id=client.client_id,
-                        )
-                        uploading = False
-                    else:
-                        client.record_upload_success()
-                        factor = fault_schedule.uplink_factor(step)
-                        if factor < 1.0:
-                            uplink_bps = config.network.degraded(
-                                factor
-                            ).uplink_bps
-            outcome = run_query_window(
-                plan.schedule,
-                start_bytes=cached,
-                uplink_bps=uplink_bps,
-                duration=interval,
-                query_gap=config.query_gap_seconds,
-                uploading=uploading,
-                latency_overhead=overhead,
-                queue_wait=queue_wait,
-                telemetry=metrics,
-                fast=fast_sim,
-                count_memo=count_memo,
-            )
-            if routing and hops > 0 and outcome.count and tensors is not None:
-                access_server = registry.server_at(client.position)
-                if access_server is not None and access_server != server.server_id:
-                    if tensors.uplink_bytes > 0:
-                        meter.record(
-                            step, access_server, server.server_id,
-                            outcome.count * tensors.uplink_bytes,
-                        )
-                    if tensors.downlink_bytes > 0:
-                        meter.record(
-                            step, server.server_id, access_server,
-                            outcome.count * tensors.downlink_bytes,
-                        )
-            model_name = master.partitioner_for(client.client_id).graph.name
-            metrics.counter("sim.queries", {"model": model_name}).inc(
-                outcome.count
-            )
-            if overload_label is not None:
-                metrics.counter(
-                    "overload.queries", {"outcome": overload_label}
-                ).inc(outcome.count)
-            coldstart = client.client_id in associated_this_step
-            if coldstart:
-                metrics.counter("sim.coldstart_queries").inc(outcome.count)
-            telemetry.trace.record(
-                QueryWindowEvent(
-                    interval=step,
-                    client_id=client.client_id,
-                    server_id=server.server_id,
-                    queries=outcome.count,
-                    coldstart=coldstart,
-                    end_bytes=outcome.end_bytes,
-                )
-            )
-            if not optimal:
-                delta = outcome.end_bytes - cached
-                if delta > 0:
-                    server.add_bytes(
-                        client.client_id, delta, step, config.ttl_intervals,
-                        client.model_version,
-                    )
-                else:
-                    server.refresh_ttl(
-                        client.client_id, step, config.ttl_intervals,
-                        client.model_version,
-                    )
         if overload_on:
             admission.export_gauges()
-        # 4. Proactive migration (records its own telemetry).  The fast
-        # path predicts every client's next location in one batched
-        # predictor call; the per-client transfer logic replays in client
-        # order either way.
+        # 4. Proactive migration (records its own telemetry): one batched
+        # prediction for every client, transfers replayed in client order.
         if settings.policy is MigrationPolicy.PERDNN:
-            if fast_sim:
-                master.proactive_migrate_batch(active, step)
-            else:
-                for client in active:
-                    master.proactive_migrate(client, step)
+            master.proactive_migrate_batch(active, step)
         # 5. TTL eviction.
         master.expire_caches(step)
         step += 1

@@ -24,30 +24,11 @@ QUERY_LATENCY_BUCKETS: tuple[float, ...] = (
 
 
 @dataclass(frozen=True)
-class QueryRecord:
-    """One executed query."""
-
-    start_time: float  # seconds from window start
-    latency: float
-    received_bytes: float  # upload progress when the query started
-
-
-@dataclass(frozen=True)
 class WindowOutcome:
-    """Result of integrating one query window.
+    """Result of integrating one query window."""
 
-    The fast steady-state path skips materializing per-query records and
-    reports the tally in ``num_queries`` instead; ``count`` is the one
-    true query count either way.
-    """
-
-    queries: tuple[QueryRecord, ...]
+    count: int  # queries completed inside the window
     end_bytes: float  # upload progress at window end
-    num_queries: int | None = None
-
-    @property
-    def count(self) -> int:
-        return len(self.queries) if self.num_queries is None else self.num_queries
 
 
 def _steady_query_count(
@@ -90,7 +71,6 @@ def run_query_window(
     latency_overhead: float = 0.0,
     queue_wait: float | None = None,
     telemetry: MetricsRegistry | None = None,
-    fast: bool = False,
     count_memo: dict | None = None,
 ) -> WindowOutcome:
     """Integrate the query loop over ``duration`` seconds.
@@ -106,13 +86,11 @@ def run_query_window(
     ``overload.queue_wait_seconds`` histogram.  With ``telemetry`` the
     window records each completed query and its (simulated) latency.
 
-    ``fast`` skips materializing per-query records: when no bytes move
-    during the window (nothing left to upload, or not uploading at all)
-    every query has the same latency and the count comes from the
-    memoized serial recurrence; windows with upload progress replay the
-    exact scalar integration record-free.  Telemetry is bit-identical to
-    the scalar loop either way; only ``outcome.queries`` is empty
-    (``outcome.count`` still reports the tally).
+    No per-query records are materialized.  When no bytes move during
+    the window (nothing left to upload, or not uploading at all) every
+    query has the same latency and the count comes from the memoized
+    serial recurrence (``count_memo``, shared across a run); windows
+    with upload progress replay the exact serial integration.
     """
     if duration < 0:
         raise ValueError("duration must be non-negative")
@@ -125,7 +103,7 @@ def run_query_window(
     total = schedule.total_bytes
     start_bytes = min(start_bytes, total)
     byte_rate = uplink_bps / 8.0 if uploading else 0.0
-    if fast and (byte_rate == 0.0 or start_bytes >= total):
+    if byte_rate == 0.0 or start_bytes >= total:
         # received is constant: min(total, start_bytes + rate*t) equals the
         # clamped start_bytes at every query start time.
         latency = schedule.latency_after_bytes(start_bytes) + latency_overhead
@@ -145,98 +123,70 @@ def run_query_window(
                 telemetry.histogram(
                     "query.latency_seconds", QUERY_LATENCY_BUCKETS
                 ).observe_repeated(latency, count)
-        return WindowOutcome(queries=(), end_bytes=end_bytes, num_queries=count)
-    if fast:
-        # Upload in progress: the exact serial integration, minus the
-        # per-query record objects.  Operation for operation the same float
-        # recurrence as the scalar loop below — the latency stage advances
-        # incrementally (received bytes are nondecreasing, so the stage
-        # index only moves right, landing exactly where bisect would) and
-        # consecutive queries at the same latency collapse into one
-        # ``observe_repeated`` replay, which is bit-identical to the
-        # per-query ``observe`` sequence.
-        cumulative = schedule._cumulative_list
-        latencies = schedule.latencies
-        num_stages = len(cumulative)
-        stage = 0
-        count = 0
-        runs: list[tuple[float, int]] = []  # (latency, consecutive queries)
-        run_latency = 0.0
-        run_count = 0
-        t = first_gap + (queue_wait or 0.0)
-        # Cache the next stage threshold so the (frequent) queries that do
-        # not cross one skip the stage walk; ``nudged >= next_bound`` is
-        # the same float comparison the walk's first iteration would make.
-        next_bound = cumulative[0] if num_stages else None
-        latency = latencies[0] + latency_overhead
-        while True:
-            received = min(total, start_bytes + byte_rate * t)
-            nudged = received + 1e-9
-            if next_bound is not None and nudged >= next_bound:
-                while stage < num_stages and cumulative[stage] <= nudged:
-                    stage += 1
-                next_bound = (
-                    cumulative[stage] if stage < num_stages else None
-                )
-                latency = latencies[stage] + latency_overhead
-            if stage == num_stages:
-                # Past the last threshold the stage can never advance
-                # again: every remaining query repeats at this latency, so
-                # the tail is the steady recurrence starting at ``t`` —
-                # the memoized replay performs the identical serial
-                # ``t += latency + gap`` walk the loop below would.
-                tail = _steady_query_count(
-                    t, latency, query_gap, duration, count_memo
-                )
-                if tail:
-                    count += tail
-                    if run_count and latency == run_latency:
-                        run_count += tail
-                    else:
-                        if run_count:
-                            runs.append((run_latency, run_count))
-                        run_latency = latency
-                        run_count = tail
-                break
-            if t + latency > duration:
-                break
-            if run_count and latency == run_latency:
-                run_count += 1
-            else:
-                if run_count:
-                    runs.append((run_latency, run_count))
-                run_latency = latency
-                run_count = 1
-            count += 1
-            t += latency + query_gap
-        if run_count:
-            runs.append((run_latency, run_count))
-        end_bytes = min(total, start_bytes + byte_rate * duration)
-        if telemetry is not None:
-            telemetry.counter("query.windows").inc()
-            if queue_wait is not None:
-                telemetry.histogram(
-                    "overload.queue_wait_seconds", QUEUE_WAIT_BUCKETS
-                ).observe(queue_wait)
-            if count:
-                telemetry.counter("query.completed").inc(count)
-                histogram = telemetry.histogram(
-                    "query.latency_seconds", QUERY_LATENCY_BUCKETS
-                )
-                for run_latency, run_count in runs:
-                    histogram.observe_repeated(run_latency, run_count)
-        return WindowOutcome(queries=(), end_bytes=end_bytes, num_queries=count)
-    records: list[QueryRecord] = []
+        return WindowOutcome(count=count, end_bytes=end_bytes)
+    # Upload in progress: the exact serial integration ``t += latency +
+    # gap`` with ``latency_after_bytes(received)`` per query.  The latency
+    # stage advances incrementally (received bytes are nondecreasing, so
+    # the stage index only moves right, landing exactly where bisect
+    # would) and consecutive queries at the same latency collapse into
+    # one ``observe_repeated`` replay, which is bit-identical to the
+    # per-query ``observe`` sequence.
+    cumulative = schedule._cumulative_list
+    latencies = schedule.latencies
+    num_stages = len(cumulative)
+    stage = 0
+    count = 0
+    runs: list[tuple[float, int]] = []  # (latency, consecutive queries)
+    run_latency = 0.0
+    run_count = 0
     t = first_gap + (queue_wait or 0.0)
+    # Cache the next stage threshold so the (frequent) queries that do
+    # not cross one skip the stage walk; ``nudged >= next_bound`` is
+    # the same float comparison the walk's first iteration would make.
+    next_bound = cumulative[0] if num_stages else None
+    latency = latencies[0] + latency_overhead
     while True:
         received = min(total, start_bytes + byte_rate * t)
-        latency = schedule.latency_after_bytes(received) + latency_overhead
+        nudged = received + 1e-9
+        if next_bound is not None and nudged >= next_bound:
+            while stage < num_stages and cumulative[stage] <= nudged:
+                stage += 1
+            next_bound = (
+                cumulative[stage] if stage < num_stages else None
+            )
+            latency = latencies[stage] + latency_overhead
+        if stage == num_stages:
+            # Past the last threshold the stage can never advance
+            # again: every remaining query repeats at this latency, so
+            # the tail is the steady recurrence starting at ``t`` —
+            # the memoized replay performs the identical serial
+            # ``t += latency + gap`` walk the loop below would.
+            tail = _steady_query_count(
+                t, latency, query_gap, duration, count_memo
+            )
+            if tail:
+                count += tail
+                if run_count and latency == run_latency:
+                    run_count += tail
+                else:
+                    if run_count:
+                        runs.append((run_latency, run_count))
+                    run_latency = latency
+                    run_count = tail
+            break
         if t + latency > duration:
             break
-        records.append(
-            QueryRecord(start_time=t, latency=latency, received_bytes=received)
-        )
+        if run_count and latency == run_latency:
+            run_count += 1
+        else:
+            if run_count:
+                runs.append((run_latency, run_count))
+            run_latency = latency
+            run_count = 1
+        count += 1
         t += latency + query_gap
+    if run_count:
+        runs.append((run_latency, run_count))
     end_bytes = min(total, start_bytes + byte_rate * duration)
     if telemetry is not None:
         telemetry.counter("query.windows").inc()
@@ -244,14 +194,14 @@ def run_query_window(
             telemetry.histogram(
                 "overload.queue_wait_seconds", QUEUE_WAIT_BUCKETS
             ).observe(queue_wait)
-        if records:
-            telemetry.counter("query.completed").inc(len(records))
-            latencies = telemetry.histogram(
+        if count:
+            telemetry.counter("query.completed").inc(count)
+            histogram = telemetry.histogram(
                 "query.latency_seconds", QUERY_LATENCY_BUCKETS
             )
-            for record in records:
-                latencies.observe(record.latency)
-    return WindowOutcome(queries=tuple(records), end_bytes=end_bytes)
+            for run_latency, run_count in runs:
+                histogram.observe_repeated(run_latency, run_count)
+    return WindowOutcome(count=count, end_bytes=end_bytes)
 
 
 def run_local_window(
@@ -260,7 +210,6 @@ def run_local_window(
     query_gap: float,
     telemetry: MetricsRegistry | None = None,
     record_fallback: bool = True,
-    fast: bool = False,
     count_memo: dict | None = None,
 ) -> WindowOutcome:
     """Integrate one interval of queries executed fully on the client.
@@ -278,38 +227,18 @@ def run_local_window(
         raise ValueError("local_latency must be positive")
     if duration < 0:
         raise ValueError("duration must be non-negative")
-    if fast:
-        # Local windows are always steady state (constant latency, no
-        # upload), so the count shortcut applies unconditionally.
-        count = _steady_query_count(
-            0.0, local_latency, query_gap, duration, count_memo
-        )
-        if telemetry is not None:
-            telemetry.counter("query.windows").inc()
-            if count:
-                telemetry.counter("query.completed").inc(count)
-                if record_fallback:
-                    telemetry.counter("query.local_fallback").inc(count)
-                telemetry.histogram(
-                    "query.latency_seconds", QUERY_LATENCY_BUCKETS
-                ).observe_repeated(local_latency, count)
-        return WindowOutcome(queries=(), end_bytes=0.0, num_queries=count)
-    records: list[QueryRecord] = []
-    t = 0.0
-    while t + local_latency <= duration:
-        records.append(
-            QueryRecord(start_time=t, latency=local_latency, received_bytes=0.0)
-        )
-        t += local_latency + query_gap
+    # Local windows are always steady state (constant latency, no
+    # upload), so the memoized count recurrence applies unconditionally.
+    count = _steady_query_count(
+        0.0, local_latency, query_gap, duration, count_memo
+    )
     if telemetry is not None:
         telemetry.counter("query.windows").inc()
-        if records:
-            telemetry.counter("query.completed").inc(len(records))
+        if count:
+            telemetry.counter("query.completed").inc(count)
             if record_fallback:
-                telemetry.counter("query.local_fallback").inc(len(records))
-            latencies = telemetry.histogram(
+                telemetry.counter("query.local_fallback").inc(count)
+            telemetry.histogram(
                 "query.latency_seconds", QUERY_LATENCY_BUCKETS
-            )
-            for record in records:
-                latencies.observe(record.latency)
-    return WindowOutcome(queries=tuple(records), end_bytes=0.0)
+            ).observe_repeated(local_latency, count)
+    return WindowOutcome(count=count, end_bytes=0.0)

@@ -19,9 +19,9 @@ city-scale mobile simulation.  What *is* pinned exactly, by tests:
 
 * the decomposition and merge depend only on ``(dataset, settings,
   shard_size)`` — ``workers`` 1, 2, or 4 export the same bytes;
-* each shard obeys the fast-vs-reference equivalence of the unsharded
-  loop, so a sharded run under :func:`~repro.simulation.large_scale.
-  reference_simulate` is byte-identical to the fast one;
+* each shard obeys the equivalence of the unsharded loop, so a sharded
+  run with the scalar reference oracles patched in is byte-identical to
+  the production one;
 * merged counters satisfy the same conservation and no-query-dropped
   invariants as the scalar path (property suite).
 
@@ -43,15 +43,10 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from repro.core.config import PerDNNConfig
-from repro.core.master import (
-    MigrationPolicy,
-    fast_migrate_enabled,
-    set_fast_migrate,
-)
+from repro.core.master import MigrationPolicy
 from repro.estimation.estimator import ContentionEstimator
 from repro.faults import FaultSchedule
 from repro.geo.hexgrid import HexGrid
-from repro.ml.tree import fast_predict_enabled, set_fast_predict
 from repro.mobility.predictor import PointPredictor
 from repro.mobility.trajectory import TrajectoryDataset
 from repro.network.traffic import TrafficFold
@@ -68,9 +63,7 @@ from repro.simulation.remote import RemoteExecutor
 from repro.simulation.large_scale import (
     LargeScaleResult,
     SimulationSettings,
-    fast_simulate_enabled,
     run_large_scale,
-    set_fast_simulate,
     train_default_estimator,
     train_default_predictor,
 )
@@ -205,9 +198,6 @@ class _ShardJob:
     models_blob: bytes  # pickled (predictor, estimator): serialized once
     settings: SimulationSettings
     config: PerDNNConfig
-    fast_simulate: bool
-    fast_predict: bool
-    fast_migrate: bool
     record_events: bool
     dataset_path: str | None = None  # spilled sub-dataset pickle
     profile_path: str | None = None  # dump this worker's cProfile here
@@ -216,17 +206,11 @@ class _ShardJob:
 def _run_shard_job(job: _ShardJob) -> LargeScaleResult:
     """Worker entry point: run one shard as a full sub-simulation.
 
-    The fast-path toggles are process globals, so the parent's setting is
-    shipped explicitly (a spawned worker would not inherit a context
-    manager entered after the pool was created).  The trained models
-    arrive as one shared pickle blob — the parent serializes the forest
-    and SVR object graphs once instead of once per shard job.  A spilled
-    job carries only ``dataset_path``: the worker loads its own subset
-    from disk, so the parent never held it.
+    The trained models arrive as one shared pickle blob — the parent
+    serializes the forest and SVR object graphs once instead of once per
+    shard job.  A spilled job carries only ``dataset_path``: the worker
+    loads its own subset from disk, so the parent never held it.
     """
-    previous_sim = set_fast_simulate(job.fast_simulate)
-    previous_predict = set_fast_predict(job.fast_predict)
-    previous_migrate = set_fast_migrate(job.fast_migrate)
     profiler = None
     try:
         dataset = job.dataset
@@ -258,9 +242,6 @@ def _run_shard_job(job: _ShardJob) -> LargeScaleResult:
         if profiler is not None:
             profiler.disable()
             profiler.dump_stats(job.profile_path)
-        set_fast_simulate(previous_sim)
-        set_fast_predict(previous_predict)
-        set_fast_migrate(previous_migrate)
 
 
 def _sub_dataset(
@@ -597,9 +578,7 @@ def run_large_scale_sharded(
     completed: set[int] = set()
     if store is not None:
         fingerprint = run_fingerprint(
-            dataset, settings, config, shard_size, model_names,
-            record_events, fast_simulate_enabled(), fast_predict_enabled(),
-            fast_migrate_enabled(),
+            dataset, settings, config, shard_size, model_names, record_events
         )
         if resume:
             store.check_fingerprint(fingerprint)
@@ -662,9 +641,6 @@ def run_large_scale_sharded(
                         settings, seed=shard_seed(settings.seed, shard.index)
                     ),
                     config=config,
-                    fast_simulate=fast_simulate_enabled(),
-                    fast_predict=fast_predict_enabled(),
-                    fast_migrate=fast_migrate_enabled(),
                     record_events=record_events,
                     dataset_path=job_path,
                 )

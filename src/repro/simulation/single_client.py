@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from repro.core.config import PerDNNConfig
 from repro.partitioning.partitioner import DNNPartitioner
-from repro.simulation.query_loop import QueryRecord
+from repro.simulation.query_loop import run_query_window
 
 
 @dataclass(frozen=True)
@@ -90,8 +90,6 @@ def upload_window_throughput(
     server_slowdown: float = 1.0,
 ) -> UploadThroughput:
     """Queries executed during the model-upload window, miss vs hit."""
-    from repro.simulation.query_loop import run_query_window
-
     result = partitioner.partition(server_slowdown)
     schedule = result.schedule
     upload_seconds = schedule.total_bytes * 8.0 / config.network.uplink_bps

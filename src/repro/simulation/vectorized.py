@@ -1,11 +1,11 @@
 """Struct-of-arrays client state and vectorized interval passes.
 
-The large-scale simulator's reference loop touches every client with a
-chain of per-client Python calls (``cell_of`` -> dict probe -> hysteresis
-comparison).  At city scale that chain *is* the runtime, so the fast path
-(:func:`repro.simulation.large_scale.set_fast_simulate`) keeps client
-state mirrored in flat numpy arrays and turns the movement/association
-phase into a handful of array passes:
+Deciding every client's association one call at a time is a chain of
+per-client Python calls (``cell_of`` -> dict probe -> hysteresis
+comparison).  At city scale that chain *is* the runtime, so the
+large-scale simulator keeps client state mirrored in flat numpy arrays
+and turns the movement/association phase into a handful of array
+passes:
 
 * positions of every active client in one ``(n, 2)`` float64 buffer;
 * current association in one int64 array (-1 = unassociated);
@@ -14,8 +14,9 @@ phase into a handful of array passes:
 
 Bit-exactness contract: every array pass reproduces the scalar helpers'
 arithmetic operation for operation (and falls back to the scalar helper
-outright for the rare hysteresis tie-breaks), so a fast run exports the
-same telemetry bytes as the reference loop.
+outright for the rare hysteresis tie-breaks), so a run exports the same
+telemetry bytes as one deciding each client with
+:func:`~repro.core.association.decide_association`.
 """
 
 from __future__ import annotations

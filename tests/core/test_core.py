@@ -7,6 +7,7 @@ from repro.core.client import MobileClient
 from repro.core.config import PerDNNConfig
 from repro.core.edge_server import EdgeServer
 from repro.core.master import MasterServer, MigrationPolicy
+from repro.geo.geometry import euclidean
 from repro.geo.hexgrid import HexCell, HexGrid
 from repro.geo.wifi import EdgeServerRegistry
 from repro.mobility.trajectory import Trajectory
@@ -151,6 +152,9 @@ class FixedPredictor:
     def predict_point(self, window):
         return self.point
 
+    def predict_points(self, windows):
+        return np.tile(np.asarray(self.point, dtype=float), (len(windows), 1))
+
 
 @pytest.fixture
 def world(tiny_partitioner, rng):
@@ -176,6 +180,12 @@ class TestMasterServer:
         )
         defaults.update(kwargs)
         return MasterServer(**defaults)
+
+    def migrate(self, master, client, interval):
+        """One proactive pass for ``client``; the records it appended."""
+        before = len(master.migrations)
+        master.proactive_migrate_batch([client], interval)
+        return master.migrations[before:]
 
     def make_client(self, grid, cells):
         points = np.array(
@@ -219,11 +229,16 @@ class TestMasterServer:
         client.current_server = registry.server_for_cell(cells[1])
         source = master.server(client.current_server)
         source.add_bytes(0, 1e9, now_interval=0, ttl_intervals=5)
-        records = master.proactive_migrate(client, interval=0)
+        records = self.migrate(master, client, interval=0)
         assert records, "migration must target servers near the prediction"
         target_ids = {r.target_server for r in records}
         assert registry.server_for_cell(cells[2]) in target_ids
         assert client.current_server not in target_ids
+        predicted = grid.center(cells[2])
+        for target_id in target_ids:
+            assert euclidean(
+                predicted, registry.server_location(target_id)
+            ) <= config.migration_radius_m
         for record in records:
             target = master.server(record.target_server)
             assert target.cached_bytes(0) == pytest.approx(record.nbytes)
@@ -237,7 +252,7 @@ class TestMasterServer:
         client.current_server = registry.server_for_cell(cells[1])
         source = master.server(client.current_server)
         source.add_bytes(0, 123.0, now_interval=0, ttl_intervals=5)
-        records = master.proactive_migrate(client, interval=0)
+        records = self.migrate(master, client, interval=0)
         assert all(r.nbytes <= 123.0 + 1e-9 for r in records)
 
     def test_no_migration_without_source_bytes(
@@ -247,7 +262,7 @@ class TestMasterServer:
         master = self.make_master(world, tiny_partitioner, rng)
         client = self.make_client(grid, cells)
         client.current_server = registry.server_for_cell(cells[1])
-        assert master.proactive_migrate(client, interval=0) == []
+        assert self.migrate(master, client, interval=0) == []
 
     def test_duplicate_sends_avoided_ttl_refreshed(
         self, world, tiny_partitioner, rng
@@ -258,9 +273,15 @@ class TestMasterServer:
         client.current_server = registry.server_for_cell(cells[1])
         source = master.server(client.current_server)
         source.add_bytes(0, 1e9, now_interval=0, ttl_intervals=5)
-        first = master.proactive_migrate(client, interval=0)
-        second = master.proactive_migrate(client, interval=1)
+        first = self.migrate(master, client, interval=0)
+        second = self.migrate(master, client, interval=1)
         assert first and second == []  # nothing new to send
+        for record in first:
+            # The duplicate send was skipped but the copy's TTL restarted
+            # at interval 1: it outlives the interval-0 expiry horizon.
+            target = master.server(record.target_server)
+            target.expire(config.ttl_intervals)
+            assert target.cached_bytes(0) == pytest.approx(record.nbytes)
 
     def test_fractional_budget_caps_transfer(
         self, world, tiny_partitioner, rng
@@ -275,7 +296,7 @@ class TestMasterServer:
         client.current_server = registry.server_for_cell(cells[1])
         source = master.server(client.current_server)
         source.add_bytes(0, 1e9, now_interval=0, ttl_intervals=5)
-        records = master.proactive_migrate(client, interval=0)
+        records = self.migrate(master, client, interval=0)
         assert records
         assert all(r.nbytes <= 10.0 for r in records)
 
@@ -288,7 +309,7 @@ class TestMasterServer:
         client = self.make_client(grid, cells)
         client.current_server = 0
         master.server(0).add_bytes(0, 1e9, 0, 5)
-        assert master.proactive_migrate(client, interval=0) == []
+        assert self.migrate(master, client, interval=0) == []
 
     def test_slowdown_memoized_per_interval(self, world, tiny_partitioner, rng):
         master = self.make_master(world, tiny_partitioner, rng)

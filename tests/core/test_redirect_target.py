@@ -18,6 +18,7 @@ from repro.core.master import MasterServer, MigrationPolicy
 from repro.faults import FaultSchedule, ServerCrash, Window
 from repro.geo.hexgrid import HexCell, HexGrid
 from repro.geo.wifi import EdgeServerRegistry
+from tests.oracles import reference_paths
 
 RADIUS = 50.0
 #: Allocation order deliberately differs from cell-sorted order, so ids
@@ -206,7 +207,7 @@ class TestServersNear:
                 point, distance
             )
             assert [s for s, _ in pairs] == (
-                registry._servers_within_reference(point, distance)
+                reference_paths.servers_within(registry, point, distance)
             )
             for server_id, d in pairs:
                 x, y = registry.server_location(server_id)

@@ -8,6 +8,7 @@ import pytest
 from repro.geo.geometry import BoundingBox, euclidean
 from repro.geo.hexgrid import HexCell, HexGrid
 from repro.geo.wifi import EdgeServerRegistry
+from tests.oracles import reference_paths
 
 
 class TestGeometry:
@@ -130,7 +131,7 @@ class TestRegistry:
             point = tuple(rng.uniform(-1600.0, 1600.0, size=2))
             distance = float(rng.uniform(0.0, 600.0))
             assert registry.servers_within(point, distance) == (
-                registry._servers_within_reference(point, distance)
+                reference_paths.servers_within(registry, point, distance)
             )
         # Exact-boundary probes: query from one centre at the exact
         # distance of another.
@@ -144,7 +145,7 @@ class TestRegistry:
                 target[0] - origin[0], target[1] - origin[1]
             )
             assert registry.servers_within(origin, distance) == (
-                registry._servers_within_reference(origin, distance)
+                reference_paths.servers_within(registry, origin, distance)
             )
 
     def test_servers_within_batch_matches_scalar(self):

@@ -2,7 +2,8 @@
 
 The flat-array traversal (``FlatTree`` / ``_StackedTrees``) is a pure
 wall-clock optimization — every prediction must match the original
-per-row node walk exactly, or same-seed simulation runs would diverge.
+per-row node walk (kept in :mod:`tests.oracles.reference_paths`)
+exactly, or same-seed simulation runs would diverge.
 """
 
 import numpy as np
@@ -10,13 +11,8 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from repro.ml.forest import RandomForestRegressor
-from repro.ml.tree import (
-    FlatTree,
-    RegressionTree,
-    fast_predict_enabled,
-    reference_predict,
-    set_fast_predict,
-)
+from repro.ml.tree import FlatTree, RegressionTree
+from tests.oracles import reference_paths
 
 
 def _make_data(n, d, seed, constant_features=False):
@@ -48,7 +44,8 @@ class TestTreeEquivalence:
             -3.0, 3.0, size=(17, d)
         )
         assert np.array_equal(
-            tree.predict(X_query), tree._predict_reference(X_query)
+            tree.predict(X_query),
+            reference_paths.tree_predict(tree, X_query),
         )
 
     def test_single_row_and_empty_batch(self):
@@ -56,7 +53,9 @@ class TestTreeEquivalence:
         tree = RegressionTree(rng=np.random.default_rng(7)).fit(X, y)
         single = tree.predict(X[:1])
         assert single.shape == (1,)
-        assert np.array_equal(single, tree._predict_reference(X[:1]))
+        assert np.array_equal(
+            single, reference_paths.tree_predict(tree, X[:1])
+        )
         empty = tree.predict(np.empty((0, 3)))
         assert empty.shape == (0,)
 
@@ -92,7 +91,8 @@ class TestForestEquivalence:
         ).fit(X, y)
         X_query = np.random.default_rng(seed + 1).uniform(size=(23, 4))
         assert np.array_equal(
-            forest.predict(X_query), forest._predict_reference(X_query)
+            forest.predict(X_query),
+            reference_paths.forest_predict(forest, X_query),
         )
 
     def test_edge_batches(self):
@@ -102,11 +102,14 @@ class TestForestEquivalence:
         ).fit(X, y)
         assert forest.predict(np.empty((0, 3))).shape == (0,)
         single = forest.predict(X[:1])
-        assert np.array_equal(single, forest._predict_reference(X[:1]))
+        assert np.array_equal(
+            single, reference_paths.forest_predict(forest, X[:1])
+        )
         per_tree = forest.predict_per_tree(X[:9])
         assert per_tree.shape == (4, 9)
-        with reference_predict():
-            assert np.array_equal(per_tree, forest.predict_per_tree(X[:9]))
+        assert np.array_equal(
+            per_tree, reference_paths.forest_predict_per_tree(forest, X[:9])
+        )
 
     def test_fit_rng_determinism(self):
         X, y = _make_data(80, 5, 21)
@@ -121,22 +124,3 @@ class TestForestEquivalence:
             assert np.array_equal(getattr(a, field), getattr(b, field))
         assert np.array_equal(forests[0].predict(X), forests[1].predict(X))
 
-
-class TestFastPredictToggle:
-    def test_reference_context_forces_node_walk_and_restores(self):
-        assert fast_predict_enabled()
-        with reference_predict():
-            assert not fast_predict_enabled()
-            with reference_predict():  # reentrant
-                assert not fast_predict_enabled()
-            assert not fast_predict_enabled()
-        assert fast_predict_enabled()
-
-    def test_set_fast_predict_returns_previous(self):
-        previous = set_fast_predict(False)
-        try:
-            assert previous is True
-            assert not fast_predict_enabled()
-        finally:
-            set_fast_predict(True)
-        assert fast_predict_enabled()

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.ml.forest import RandomForestRegressor
-from repro.ml.tree import reference_predict
+from tests.oracles import reference_paths
 
 
 def fitted_forest(n_trees, seed=0, n_features=6):
@@ -41,7 +41,9 @@ def test_single_row_bit_identical_to_batched_and_reference(n_trees):
         assert single.tobytes() == batched[i : i + 1].tobytes()
         # The reference node walk, like every one-row call, reduces a
         # (n_trees, 1) column.
-        assert single.tobytes() == forest._predict_reference(one).tobytes()
+        assert single.tobytes() == (
+            reference_paths.forest_predict(forest, one).tobytes()
+        )
         assert single.tobytes() == (
             stacked.predict_all(one).mean(axis=0).tobytes()
         )
@@ -55,7 +57,7 @@ def test_rows_on_split_thresholds_take_the_same_branch():
         row = np.zeros((1, 6))
         row[0, stacked.feature[node]] = stacked.threshold[node]
         assert forest.predict(row).tobytes() == (
-            forest._predict_reference(row).tobytes()
+            reference_paths.forest_predict(forest, row).tobytes()
         )
 
 
@@ -63,7 +65,7 @@ def test_reference_toggle_still_walks_nodes():
     forest, rng = fitted_forest(8, seed=2)
     row = rng.uniform(-3.0, 3.0, size=(1, 6))
     fast = forest.predict(row)
-    with reference_predict():
+    with reference_paths.patched(simulate=False, migrate=False):
         slow = forest.predict(row)
     assert fast.tobytes() == slow.tobytes()
 

@@ -31,7 +31,6 @@ from repro.core.master import MasterServer
 from repro.faults.schedule import FaultSchedule
 from repro.geo.geometry import euclidean
 from repro.ml.forest import RandomForestRegressor
-from repro.ml.tree import fast_predict_enabled
 
 
 def least_loaded_server(
@@ -108,10 +107,7 @@ def forest_predict(self, X: np.ndarray) -> np.ndarray:
     if not self._trees:
         raise RuntimeError("forest has not been fitted")
     X = self._trees[0]._validate_X(X)
-    if fast_predict_enabled() and self._stacked is not None:
-        return self._stacked.predict_all(X).mean(axis=0)
-    predictions = np.stack([tree.predict(X) for tree in self._trees])
-    return predictions.mean(axis=0)
+    return self._stacked.predict_all(X).mean(axis=0)
 
 
 @contextmanager

@@ -1,8 +1,9 @@
 """Production overload path vs the pre-fast-path oracles, byte for byte.
 
-The fast-vs-reference equivalence suites cannot see the redirect scan,
-the per-interval down set or the single-row forest walk: both of their
-modes share those functions.  Here the verbatim originals in
+The reference-path oracles of :mod:`tests.oracles.reference_paths`
+cannot see the redirect scan, the per-interval down set or the
+single-row forest walk: production and reference runs share those
+functions.  Here the verbatim originals in
 :mod:`tests.oracles.overload_paths` are patched in, and a tiny
 flash-crowd run must export exactly the telemetry bytes (events
 included) the production code exports — under the ``REDIRECT`` and

@@ -101,10 +101,10 @@ class TestChaosInvariant:
 
     def test_chaos_with_reference_migrate(self, dataset, tiny_partitioner, clean):
         # Chaos retries must stay byte-stable on the scalar migration
-        # tail too — supervision and the migrate toggle are orthogonal.
-        from repro.core.master import reference_migrate
+        # tail too — supervision and the migration path are orthogonal.
+        from tests.oracles import reference_paths
 
-        with reference_migrate():
+        with reference_paths.patched(simulate=False, predict=False):
             chaotic = run_sharded(
                 dataset, tiny_partitioner, make_settings(),
                 workers=2,

@@ -198,7 +198,6 @@ class TestFingerprint:
         return dict(
             dataset=dataset, settings=settings, config=config,
             shard_size=4, model_names=["tiny"], record_events=True,
-            fast_simulate=True, fast_predict=True,
         )
 
     def test_stable(self, dataset):
@@ -210,8 +209,8 @@ class TestFingerprint:
         [
             {"shard_size": 8},
             {"record_events": False},
-            {"fast_simulate": False},
-            {"fast_predict": False},
+            {"config": PerDNNConfig(migration_radius_m=50.0)},
+            {"model_names": ["tiny", "other"]},
             {"model_names": ["other"]},
         ],
     )

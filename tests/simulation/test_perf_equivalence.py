@@ -2,18 +2,18 @@
 
 The flat-array forest traversal, batched slowdown estimation, and the
 planning prefetch in ``run_large_scale`` are wall-clock optimizations
-only: a run under :func:`repro.ml.tree.reference_predict` (the original
-node-walk path, scalar estimation) has to export the exact same
-telemetry bytes as the default vectorized run.
+only: a run with the original node-walk prediction patched in (the
+oracle in :mod:`tests.oracles.reference_paths`) has to export the exact
+same telemetry bytes as the production vectorized run.
 """
 
 import numpy as np
 import pytest
 
 from repro.core.master import MigrationPolicy
-from repro.ml.tree import reference_predict
 from repro.simulation.large_scale import SimulationSettings, run_large_scale
 from repro.trajectories.synthetic import kaist_like
+from tests.oracles import reference_paths
 
 
 @pytest.fixture(scope="module")
@@ -26,7 +26,7 @@ def run(dataset, partitioner, reference=False, **kwargs):
         policy=MigrationPolicy.PERDNN, max_steps=12, seed=3, **kwargs
     )
     if reference:
-        with reference_predict():
+        with reference_paths.patched(simulate=False, migrate=False):
             return run_large_scale(dataset, partitioner, settings)
     return run_large_scale(dataset, partitioner, settings)
 

@@ -1,10 +1,17 @@
-"""Tests for the query/upload integration loop."""
+"""Tests for the query/upload integration loop.
 
-import numpy as np
+Per-query timelines come from the record-materializing scalar loop in
+:mod:`tests.oracles.reference_paths`; the production integrator returns
+only the tally and must agree with it on the count, the end bytes, and
+every telemetry byte.
+"""
+
 import pytest
 
 from repro.partitioning.uploading import UploadChunk, UploadSchedule
-from repro.simulation.query_loop import run_query_window
+from repro.simulation.query_loop import run_local_window, run_query_window
+from repro.telemetry import MetricsRegistry, metrics_csv
+from tests.oracles import reference_paths
 
 
 def make_schedule(
@@ -49,7 +56,14 @@ class TestRunQueryWindow:
         )
         assert fast.count > slow.count
         # The slow run must still speed up after the upload finishes.
-        late_latencies = [q.latency for q in slow.queries if q.start_time > 80]
+        timeline = reference_paths.run_query_window(
+            schedule, start_bytes=0.0, uplink_bps=8.0,
+            duration=100.0, query_gap=0.0, uploading=True,
+        )
+        assert timeline.count == slow.count
+        late_latencies = [
+            q.latency for q in timeline.queries if q.start_time > 80
+        ]
         assert late_latencies and all(l == 1.0 for l in late_latencies)
 
     def test_uploading_false_freezes_progress(self):
@@ -59,7 +73,12 @@ class TestRunQueryWindow:
             duration=50.0, query_gap=0.0, uploading=False,
         )
         assert outcome.end_bytes == 0.0
-        assert all(q.latency == 10.0 for q in outcome.queries)
+        timeline = reference_paths.run_query_window(
+            schedule, start_bytes=0.0, uplink_bps=8.0,
+            duration=50.0, query_gap=0.0, uploading=False,
+        )
+        assert timeline.count == outcome.count
+        assert all(q.latency == 10.0 for q in timeline.queries)
 
     def test_end_bytes_capped_at_total(self):
         schedule = make_schedule([10.0], [1.0, 0.5])
@@ -76,9 +95,13 @@ class TestRunQueryWindow:
     def test_records_are_chronological(self):
         schedule = make_schedule([40.0], [2.0, 1.0])
         outcome = run_query_window(schedule, 0.0, 8.0, 30.0, 0.5)
-        starts = [q.start_time for q in outcome.queries]
+        timeline = reference_paths.run_query_window(
+            schedule, 0.0, 8.0, 30.0, 0.5
+        )
+        assert timeline.count == outcome.count
+        starts = [q.start_time for q in timeline.queries]
         assert starts == sorted(starts)
-        received = [q.received_bytes for q in outcome.queries]
+        received = [q.received_bytes for q in timeline.queries]
         assert received == sorted(received)
 
     def test_validation(self):
@@ -90,87 +113,74 @@ class TestRunQueryWindow:
 
 
 class TestFastSteadyState:
-    """The fast steady-state path must agree with the scalar loop on the
+    """The production integrator must agree with the scalar loop on the
     count, the end bytes, and every telemetry byte."""
 
     def _registries(self):
-        from repro.telemetry import MetricsRegistry
-
         return MetricsRegistry(), MetricsRegistry()
 
     @pytest.mark.parametrize("duration", [0.0, 4.0, 10.0, 63.7])
     @pytest.mark.parametrize("start_fraction", [0.0, 0.5, 1.0])
     def test_window_count_matches_scalar(self, duration, start_fraction):
-        from repro.telemetry import metrics_csv
-
         schedule = make_schedule([80.0], [1.0, 0.25])
         start = start_fraction * schedule.total_bytes
         slow_metrics, fast_metrics = self._registries()
-        # uploading=False keeps received bytes constant -> fast-eligible.
-        slow = run_query_window(
+        # uploading=False keeps received bytes constant -> steady window.
+        slow = reference_paths.run_query_window(
             schedule, start, 8.0, duration, 0.5,
             uploading=False, telemetry=slow_metrics,
         )
         fast = run_query_window(
             schedule, start, 8.0, duration, 0.5,
-            uploading=False, telemetry=fast_metrics, fast=True,
+            uploading=False, telemetry=fast_metrics,
         )
         assert fast.count == slow.count
         assert fast.end_bytes == slow.end_bytes
-        assert fast.queries == ()
         assert metrics_csv(fast_metrics) == metrics_csv(slow_metrics)
 
     @pytest.mark.parametrize("start_bytes", [0.0, 24.0])
     @pytest.mark.parametrize("uplink_bps", [8.0, 64.0, 1000.0])
     def test_upload_in_progress_matches_scalar(self, start_bytes, uplink_bps):
-        from repro.telemetry import metrics_csv
-
         schedule = make_schedule([40.0, 40.0], [1.0, 0.5, 0.25])
         slow_metrics, fast_metrics = self._registries()
-        # Bytes move during this window, so the fast path runs the exact
+        # Bytes move during this window, so production runs the exact
         # per-query integration — just without materializing records.
-        slow = run_query_window(
+        slow = reference_paths.run_query_window(
             schedule, start_bytes, uplink_bps, 100.0, 0.5,
             telemetry=slow_metrics,
         )
         fast = run_query_window(
             schedule, start_bytes, uplink_bps, 100.0, 0.5,
-            telemetry=fast_metrics, fast=True,
+            telemetry=fast_metrics,
         )
-        assert fast.queries == ()
         assert fast.count == slow.count > 0
         assert fast.end_bytes == slow.end_bytes
         assert metrics_csv(fast_metrics) == metrics_csv(slow_metrics)
 
     def test_queue_wait_recorded_identically(self):
-        from repro.telemetry import metrics_csv
-
         schedule = make_schedule([], [1.0])
         slow_metrics, fast_metrics = self._registries()
-        slow = run_query_window(
+        slow = reference_paths.run_query_window(
             schedule, 0.0, 8.0, 10.0, 0.5,
             queue_wait=1.25, telemetry=slow_metrics,
         )
         fast = run_query_window(
             schedule, 0.0, 8.0, 10.0, 0.5,
-            queue_wait=1.25, telemetry=fast_metrics, fast=True,
+            queue_wait=1.25, telemetry=fast_metrics,
         )
         assert fast.count == slow.count
         assert metrics_csv(fast_metrics) == metrics_csv(slow_metrics)
 
     def test_local_window_matches_scalar(self):
-        from repro.simulation.query_loop import run_local_window
-        from repro.telemetry import metrics_csv
-
         for record_fallback in (True, False):
             slow_metrics, fast_metrics = self._registries()
-            slow = run_local_window(
+            slow = reference_paths.run_local_window(
                 0.8, 30.0, 0.5, telemetry=slow_metrics,
                 record_fallback=record_fallback,
             )
             fast = run_local_window(
                 0.8, 30.0, 0.5, telemetry=fast_metrics,
-                record_fallback=record_fallback, fast=True,
+                record_fallback=record_fallback,
             )
             assert fast.count == slow.count
             assert metrics_csv(fast_metrics) == metrics_csv(slow_metrics)
@@ -179,11 +189,11 @@ class TestFastSteadyState:
         schedule = make_schedule([], [1.0])
         memo = {}
         first = run_query_window(
-            schedule, 0.0, 8.0, 10.0, 0.5, fast=True, count_memo=memo,
+            schedule, 0.0, 8.0, 10.0, 0.5, count_memo=memo,
         )
         assert len(memo) == 1
         second = run_query_window(
-            schedule, 0.0, 8.0, 10.0, 0.5, fast=True, count_memo=memo,
+            schedule, 0.0, 8.0, 10.0, 0.5, count_memo=memo,
         )
         assert len(memo) == 1
         assert first.count == second.count

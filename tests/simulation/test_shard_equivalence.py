@@ -5,9 +5,9 @@ Three layers of same-seed byte-identity:
 * the sharded run is a pure function of ``(dataset, settings,
   shard_size)`` — worker counts 1, 2, and 4 export identical telemetry
   snapshots, with faults and overload protection enabled too;
-* the struct-of-arrays fast path and the scalar reference loop
-  (:func:`repro.simulation.large_scale.reference_simulate`) agree byte
-  for byte, sharded and unsharded, across every subsystem combination;
+* the production interval loop and the scalar reference loop (the
+  oracles in :mod:`tests.oracles.reference_paths`) agree byte for byte,
+  sharded and unsharded, across every subsystem combination;
 * dropping the event trace (``record_events=False``) changes events
   only — every counter and histogram stays identical.
 
@@ -23,19 +23,14 @@ from repro.core.master import MigrationPolicy
 from repro.faults import get_profile
 from repro.overload import OverloadConfig, SheddingPolicy
 from repro.partitioning.partitioner import DNNPartitioner
-from repro.simulation.large_scale import (
-    SimulationSettings,
-    fast_simulate_enabled,
-    reference_simulate,
-    run_large_scale,
-    set_fast_simulate,
-)
+from repro.simulation.large_scale import SimulationSettings, run_large_scale
 from repro.simulation.sharding import (
     plan_shards,
     run_large_scale_sharded,
     shard_seed,
 )
 from repro.trajectories.synthetic import kaist_like
+from tests.oracles import reference_paths
 
 
 @pytest.fixture(scope="module")
@@ -127,7 +122,7 @@ class TestFastReferenceIdentity:
     ):
         settings = make_settings(**SUBSYSTEMS[subsystem])
         fast = run_sharded(dataset, tiny_partitioner, settings, workers=2)
-        with reference_simulate():
+        with reference_paths.patched(predict=False, migrate=False):
             reference = run_sharded(
                 dataset, tiny_partitioner, settings, workers=2
             )
@@ -137,23 +132,13 @@ class TestFastReferenceIdentity:
     def test_unsharded_fast_vs_reference(
         self, dataset, tiny_partitioner, subsystem
     ):
-        # The scalar reference path must stay alive and equivalent for
-        # the plain runner too, with every subsystem combination.
+        # The scalar reference loop must stay equivalent for the plain
+        # runner too, with every subsystem combination.
         settings = make_settings(**SUBSYSTEMS[subsystem])
         fast = run_large_scale(dataset, tiny_partitioner, settings)
-        with reference_simulate():
+        with reference_paths.patched(predict=False, migrate=False):
             reference = run_large_scale(dataset, tiny_partitioner, settings)
         assert fast.telemetry.dumps() == reference.telemetry.dumps()
-
-    def test_toggle_roundtrip(self):
-        assert fast_simulate_enabled()
-        previous = set_fast_simulate(False)
-        assert previous is True
-        assert not fast_simulate_enabled()
-        with reference_simulate():
-            assert not fast_simulate_enabled()
-        set_fast_simulate(True)
-        assert fast_simulate_enabled()
 
 
 class TestEventTraceOption:
@@ -196,7 +181,7 @@ class TestChaosIdentity:
 
     def test_chaos_fast_vs_reference(self, dataset, tiny_partitioner):
         # Batched-vs-scalar identity must hold under chaos too: the
-        # supervision layer and the fast path are orthogonal.
+        # supervision layer and the production paths are orthogonal.
         from repro.faults import WorkerChaos
         from repro.simulation.supervisor import SupervisorConfig
 
@@ -210,7 +195,7 @@ class TestChaosIdentity:
             dataset, tiny_partitioner, settings, workers=2,
             supervision=supervision,
         )
-        with reference_simulate():
+        with reference_paths.patched(predict=False, migrate=False):
             reference = run_sharded(
                 dataset, tiny_partitioner, settings, workers=2,
                 supervision=supervision,
@@ -367,31 +352,13 @@ class TestMigrationToggle:
     ):
         # The array-form migration tail and the per-client scalar pass
         # must agree byte for byte, sharded, with and without faults.
-        from repro.core.master import reference_migrate
-
         settings = make_settings(**SUBSYSTEMS[subsystem])
         fast = run_sharded(dataset, tiny_partitioner, settings, workers=2)
-        with reference_migrate():
+        with reference_paths.patched(simulate=False, predict=False):
             reference = run_sharded(
                 dataset, tiny_partitioner, settings, workers=2
             )
         assert fast.telemetry.dumps() == reference.telemetry.dumps()
-
-    def test_toggle_roundtrip(self):
-        from repro.core.master import (
-            fast_migrate_enabled,
-            reference_migrate,
-            set_fast_migrate,
-        )
-
-        assert fast_migrate_enabled()
-        previous = set_fast_migrate(False)
-        assert previous is True
-        assert not fast_migrate_enabled()
-        set_fast_migrate(True)
-        with reference_migrate():
-            assert not fast_migrate_enabled()
-        assert fast_migrate_enabled()
 
 
 class TestPrewarmedTemplate:
