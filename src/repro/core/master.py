@@ -30,7 +30,7 @@ from repro.faults import FaultSchedule, record_fault
 from repro.geo.wifi import EdgeServerRegistry
 from repro.mobility.predictor import PointPredictor
 from repro.network.traffic import TrafficMeter
-from repro.partitioning.partitioner import DNNPartitioner, PartitionResult
+from repro.partitioning.partitioner import DNNPartitioner
 from repro.telemetry import (
     CacheEvictionEvent,
     FractionalTruncationEvent,
@@ -284,22 +284,6 @@ class MasterServer:
                 )
             return self.partitioner[client_id]
         return self.partitioner
-
-    def plan_for(
-        self, server: EdgeServer, client_id: int | None = None
-    ) -> PartitionResult:
-        """Current partitioning plan for a client at ``server`` (§3.B.1)."""
-        if self.telemetry is None:
-            return self.partitioner_for(client_id).partition(
-                self.estimate_slowdown(server)
-            )
-        with self.telemetry.registry.timer("master.plan"):
-            return self.partitioner_for(client_id).partition(
-                self.estimate_slowdown(server)
-            )
-
-    def plan_bytes(self, server: EdgeServer, client_id: int | None = None) -> float:
-        return self.plan_for(server, client_id).server_bytes
 
     # ------------------------------------------------------------------
     # Proactive migration

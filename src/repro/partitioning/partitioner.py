@@ -83,9 +83,6 @@ class DNNPartitioner:
             slowdown = 1.0
         return round(round(slowdown / self._quantum) * self._quantum, 6)
 
-    # Backwards-compatible alias (pre-telemetry private name).
-    _quantize = quantize
-
     def partition(self, server_slowdown: float = 1.0) -> PartitionResult:
         """Plan + upload schedule for a server at the given GPU slowdown."""
         key = self.quantize(server_slowdown)

@@ -29,6 +29,7 @@ import numpy as np
 
 from repro.core.client import MobileClient
 from repro.core.config import PerDNNConfig
+from repro.core.edge_server import EdgeServer
 from repro.core.master import MasterServer, MigrationPolicy
 from repro.core.routing import routed_tensors, routing_overhead_seconds
 from repro.estimation.estimator import ContentionEstimator
@@ -40,6 +41,7 @@ from repro.mobility.svr import SVRPredictor
 from repro.mobility.trajectory import TrajectoryDataset
 from repro.network.traffic import TrafficMeter, TrafficSummary
 from repro.overload import (
+    QUEUE_WAIT_BUCKETS,
     AdmissionController,
     OverloadConfig,
     SheddingPolicy,
@@ -263,7 +265,71 @@ def train_default_estimator(
     return ContentionEstimator(rng=rng).fit(samples)
 
 
-def _batched_query_windows(
+def _overload_gate(
+    client: MobileClient,
+    server: EdgeServer,
+    master: MasterServer,
+    admission: AdmissionController,
+    telemetry: Telemetry,
+    step: int,
+) -> tuple[str, EdgeServer, float | None]:
+    """Breaker gate, admission control and shedding policy for one window.
+
+    Returns the window's overload outcome (``admitted``, ``degraded``,
+    ``redirected`` or ``shed``), the server that serves it (a redirect
+    target takes over from the saturated one) and its admission-queue
+    wait (``None`` unless some server admitted it).
+    """
+    overload_cfg = admission.config
+    breaker = client.breaker_for(
+        server.server_id,
+        overload_cfg.breaker_failure_threshold,
+        overload_cfg.breaker_open_intervals,
+    )
+    before = breaker.state
+    allowed = breaker.allows(step)
+    record_breaker_transition(
+        telemetry, step, client.client_id, server.server_id,
+        before, breaker.state,
+    )
+    decision = admission.try_admit(server) if allowed else None
+    if decision is not None and decision.admitted:
+        before = breaker.state
+        breaker.record_success(step)
+        record_breaker_transition(
+            telemetry, step, client.client_id, server.server_id,
+            before, breaker.state,
+        )
+        return "admitted", server, decision.queue_wait
+    if decision is not None and overload_cfg.policy is SheddingPolicy.DEGRADE:
+        # Still served here, under a client-heavier plan; the breaker
+        # stays untouched — the query was not refused.
+        return "degraded", server, None
+    # Rejected (queue full) or skipped (breaker open).
+    if decision is not None:
+        before = breaker.state
+        breaker.record_failure(step)
+        record_breaker_transition(
+            telemetry, step, client.client_id, server.server_id,
+            before, breaker.state,
+        )
+    if overload_cfg.policy is SheddingPolicy.REDIRECT:
+        target_id = master.redirect_target(
+            client.position, step,
+            overload_cfg.redirect_radius_m,
+            load_of=admission.depth_of,
+            exclude=(server.server_id,),
+            require=lambda s: admission.has_capacity(master.server(s)),
+        )
+        if target_id is not None:
+            target = master.server(target_id)
+            target_decision = admission.try_admit(target)
+            assert target_decision.admitted
+            return "redirected", target, target_decision.queue_wait
+    return "shed", server, None
+
+
+def _query_windows(
     active: list[MobileClient],
     master: MasterServer,
     metrics,
@@ -277,36 +343,47 @@ def _batched_query_windows(
     local_this_step: set[int],
     associated_this_step: set[int],
     count_memo: dict,
+    admission: AdmissionController | None,
+    routing: bool,
 ) -> None:
-    """Phase 3 (query windows) over all active clients in one batched pass.
+    """Phase 3: one query window per active client, in one pass.
 
-    Byte-identical to :func:`_per_client_query_windows`, restructured
-    for throughput:
+    A window runs on the device (at the partitioner's all-local latency)
+    when no live server was reachable or when overload protection
+    (``admission``) shed it; otherwise the client's server serves it, or
+    a redirect target does, under the full plan or a degraded one.  With
+    ``routing`` the client stays on its first server and each query's
+    tensors are relayed over the backhaul (§3.A): the relay adds latency
+    and is metered as backhaul traffic.
+
+    Clients are walked in order.  Order-*sensitive* steps stay inline in
+    that walk: the breaker gate, admission and redirect probe (which
+    instantiates servers), lazy slowdown estimates (shared RNG draws),
+    every trace event, upload backoff, routed backhaul transfers, server
+    cache updates, and the ``query.latency_seconds`` and
+    ``overload.queue_wait_seconds`` histograms (float sums).  Everything
+    else is batched:
 
     * one partitioning plan per distinct ``(server, partitioner)`` pair
-      instead of one ``plan_for`` call per client, with the partitioner's
-      plan-cache hit counters compensated so the per-run cache stats match
-      the per-client loop's one-``partition()``-call-per-client semantics;
-    * order-free int counters (windows, completed queries, per-model
-      tallies, cold-start verdicts, plan calls) accumulated locally and
-      incremented once per interval — final counter values are exact ints
-      either way;
-    * order-*sensitive* state replayed per client in client order: the
-      ``query.latency_seconds`` histogram (float sum accumulation), every
-      trace event (cold start, upload-drop fault, query window), upload
-      backoff mutations, and server cache updates;
-    * steady-state windows (nothing left to upload, or uploads gated off)
+      instead of one ``partition()`` call per window, with the
+      partitioner's plan-cache hit counter compensated so the per-run
+      cache stats keep the one-call-per-window semantics (degraded plans
+      are derived per window);
+    * order-free int counters (windows, completed queries, per-model and
+      per-outcome tallies, cold-start verdicts, plan calls) accumulated
+      locally and incremented once per interval;
+    * steady windows (nothing left to upload, or uploads gated off)
       resolved via the shared memoized count recurrence without calling
-      :func:`run_query_window`; windows with upload progress fall through
-      to :func:`run_query_window`'s exact integrator, which emits its
-      own telemetry in-place so histogram order is preserved.
+      :func:`run_query_window` (the routing overhead offsets the
+      latency, the queue wait the first start); windows with upload
+      progress fall through to its exact integrator, which emits its own
+      telemetry in place.  Consecutive steady windows observing the same
+      latency collapse into one ``observe_repeated`` call without moving
+      a bit.
 
-    Overload and routing runs keep the per-client loop (shedding decides
-    per client whether a server is planned at all, and routing meters
-    per-client backhaul).  With ``record_timings`` enabled the per-client
-    loop would additionally record per-call ``master.plan.seconds``
-    samples; timings are wall-clock and never byte-deterministic, so the
-    batched path does not reproduce them.
+    ``tests/oracles/reference_paths.py`` keeps the one-client-at-a-time
+    loop this pass replaced; the equivalence suites pin the two byte for
+    byte.
     """
     trace = telemetry.trace
     events_on = not isinstance(trace, NullEventTrace)
@@ -321,12 +398,11 @@ def _batched_query_windows(
         None if isinstance(master.partitioner, Mapping) else master.partitioner
     )
     server_of = master.server
+    registry = master.registry
+    grid = registry.grid
     memo_get = count_memo.get
     latency_hist: Histogram | None = None
-    # Steady windows observe one latency per client into the (order-
-    # sensitive) histogram; consecutive clients that observe the *same*
-    # value continue the same serial ``sum += value`` chain, so they
-    # collapse into one observe_repeated call without moving a bit.
+    queue_wait_hist: Histogram | None = None
     pending_value = 0.0
     pending_times = 0
 
@@ -341,37 +417,59 @@ def _batched_query_windows(
     any_coldstart = False
     coldstart_queries = 0
     per_model: dict[str, int] = {}
-    # id(partitioner) -> (model_name, local_latency | None); plans per
+    # Overload outcome -> offered windows / completed queries.
+    outcome_windows: dict[str, int] = {}
+    outcome_queries: dict[str, int] = {}
+    # id(partitioner) -> [model_name, local_latency | None]; plans per
     # (server, partitioner) pair are per-interval (slowdowns re-ping).
     partitioner_info: dict[int, list] = {}
     plan_cache: dict[tuple[int, int], object] = {}
 
     for client in active:
         cid = client.client_id
-        if faults_on and cid in local_this_step:
-            client_partitioner = (
-                shared_partitioner if shared_partitioner is not None
-                else partitioner_for(cid)
-            )
-            pid = id(client_partitioner)
-            info = partitioner_info.get(pid)
-            if info is None:
-                info = [client_partitioner.graph.name, None]
-                partitioner_info[pid] = info
+        client_partitioner = (
+            shared_partitioner if shared_partitioner is not None
+            else partitioner_for(cid)
+        )
+        pid = id(client_partitioner)
+        info = partitioner_info.get(pid)
+        if info is None:
+            info = [client_partitioner.graph.name, None]
+            partitioner_info[pid] = info
+        model_name = info[0]
+        server = None
+        outcome = None
+        queue_wait = None
+        if not (faults_on and cid in local_this_step):
+            assert client.current_server is not None
+            server_id = client.current_server
+            server = server_of(server_id)
+            if admission is not None:
+                outcome, server, queue_wait = _overload_gate(
+                    client, server, master, admission, telemetry, step
+                )
+                outcome_windows[outcome] = outcome_windows.get(outcome, 0) + 1
+        if server is None or outcome == "shed":
+            # On-device window: graceful degradation when no live server
+            # is reachable, or load shedding — no query is ever dropped.
             if info[1] is None:
                 info[1] = client_partitioner.local_latency()
             local_latency = info[1]
-            key = (0.0, local_latency, query_gap, interval)
-            count = memo_get(key)
-            if count is None:
-                count = _steady_query_count(
-                    0.0, local_latency, query_gap, interval, count_memo
-                )
+            # The count only: the pass records the window's telemetry.
+            count = run_local_window(
+                local_latency, interval, query_gap, count_memo=count_memo
+            ).count
             n_windows += 1
-            n_local += 1
+            if outcome is None:
+                n_local += 1
+                local_fallback_total += count
+            else:
+                # Shedding is a capacity decision, not lost availability.
+                outcome_queries[outcome] = (
+                    outcome_queries.get(outcome, 0) + count
+                )
             if count:
                 completed_total += count
-                local_fallback_total += count
                 if latency_hist is None:
                     latency_hist = metrics.histogram(
                         "query.latency_seconds", QUERY_LATENCY_BUCKETS
@@ -381,7 +479,6 @@ def _batched_query_windows(
                     pending_times = 0
                 pending_value = local_latency
                 pending_times += count
-            model_name = info[0]
             per_model[model_name] = per_model.get(model_name, 0) + count
             if events_on:
                 trace.record(
@@ -395,31 +492,24 @@ def _batched_query_windows(
                     )
                 )
             continue
-        assert client.current_server is not None
-        server_id = client.current_server
-        server = server_of(server_id)
-        client_partitioner = (
-            shared_partitioner if shared_partitioner is not None
-            else partitioner_for(cid)
-        )
-        pid = id(client_partitioner)
-        info = partitioner_info.get(pid)
-        if info is None:
-            info = [client_partitioner.graph.name, None]
-            partitioner_info[pid] = info
-        plan_key = (server_id, pid)
-        plan = plan_cache.get(plan_key)
-        if plan is None:
-            plan = client_partitioner.partition(
-                master.estimate_slowdown(server)
+        if outcome == "degraded":
+            plan = client_partitioner.degraded(
+                master.estimate_slowdown(server),
+                admission.config.degrade_inflation,
             )
-            plan_cache[plan_key] = plan
         else:
-            # The scalar path calls partition() once per client; after the
-            # first call per (server, partitioner) every later call is a
-            # plan-cache hit on the same quantized key.
-            client_partitioner.cache_hits += 1
-        plan_calls += 1
+            plan_key = (server.server_id, pid)
+            plan = plan_cache.get(plan_key)
+            if plan is None:
+                plan = client_partitioner.partition(
+                    master.estimate_slowdown(server)
+                )
+                plan_cache[plan_key] = plan
+            else:
+                # One partition() call per window would hit the plan
+                # cache on the same quantized key from the second on.
+                client_partitioner.cache_hits += 1
+            plan_calls += 1
         schedule = plan.schedule
         total_bytes = schedule.total_bytes
         if optimal:
@@ -429,7 +519,9 @@ def _batched_query_windows(
             if cached > total_bytes:
                 cached = total_bytes
         coldstart = cid in associated_this_step
-        if coldstart:
+        # Redirected windows are served away from the association, so
+        # they carry no cold-start verdict for the associated server.
+        if coldstart and outcome != "redirected":
             threshold = hit_fraction * total_bytes
             hit = total_bytes <= 0 or cached + 1e-6 >= threshold
             if hit:
@@ -441,12 +533,21 @@ def _batched_query_windows(
                     ColdStartEvent(
                         interval=step,
                         client_id=cid,
-                        server_id=server_id,
+                        server_id=server.server_id,
                         hit=hit,
                         cached_bytes=cached,
                         required_bytes=total_bytes,
                     )
                 )
+        overhead = 0.0
+        hops = 0
+        if routing:
+            hops = grid.hop_distance(
+                grid.cell_of(client.position),
+                registry.cell_of_server(server.server_id),
+            )
+            tensors = routed_tensors(plan.costs, plan.plan)
+            overhead = routing_overhead_seconds(config, hops, tensors)
         uploading = not optimal
         uplink_bps = uplink_default
         if faults_on and uploading:
@@ -470,14 +571,21 @@ def _batched_query_windows(
         if not uploading or uplink_bps == 0.0 or cached >= total_bytes:
             # Steady window: constant latency, no byte movement (matches
             # run_query_window's steady branch value for value).
-            latency = schedule.latency_after_bytes(cached)
-            key = (0.0, latency, query_gap, interval)
+            latency = schedule.latency_after_bytes(cached) + overhead
+            first_start = queue_wait or 0.0
+            key = (first_start, latency, query_gap, interval)
             count = memo_get(key)
             if count is None:
                 count = _steady_query_count(
-                    0.0, latency, query_gap, interval, count_memo
+                    first_start, latency, query_gap, interval, count_memo
                 )
             n_windows += 1
+            if queue_wait is not None:
+                if queue_wait_hist is None:
+                    queue_wait_hist = metrics.histogram(
+                        "overload.queue_wait_seconds", QUEUE_WAIT_BUCKETS
+                    )
+                queue_wait_hist.observe(queue_wait)
             if count:
                 completed_total += count
                 if latency_hist is None:
@@ -498,20 +606,36 @@ def _batched_query_windows(
                 # drain the grouped tail first to keep the serial order.
                 latency_hist.observe_repeated(pending_value, pending_times)
                 pending_times = 0
-            outcome = run_query_window(
+            window = run_query_window(
                 schedule,
                 start_bytes=cached,
                 uplink_bps=uplink_bps,
                 duration=interval,
                 query_gap=query_gap,
                 uploading=uploading,
+                latency_overhead=overhead,
+                queue_wait=queue_wait,
                 telemetry=metrics,
                 count_memo=count_memo,
             )
-            count = outcome.count
-            end_bytes = outcome.end_bytes
-        model_name = info[0]
+            count = window.count
+            end_bytes = window.end_bytes
+        if hops > 0 and count:
+            access_server = registry.server_at(client.position)
+            if access_server is not None and access_server != server.server_id:
+                if tensors.uplink_bytes > 0:
+                    master.traffic_meter.record(
+                        step, access_server, server.server_id,
+                        count * tensors.uplink_bytes,
+                    )
+                if tensors.downlink_bytes > 0:
+                    master.traffic_meter.record(
+                        step, server.server_id, access_server,
+                        count * tensors.downlink_bytes,
+                    )
         per_model[model_name] = per_model.get(model_name, 0) + count
+        if outcome is not None:
+            outcome_queries[outcome] = outcome_queries.get(outcome, 0) + count
         if coldstart:
             any_coldstart = True
             coldstart_queries += count
@@ -520,7 +644,7 @@ def _batched_query_windows(
                 QueryWindowEvent(
                     interval=step,
                     client_id=cid,
-                    server_id=server_id,
+                    server_id=server.server_id,
                     queries=count,
                     coldstart=coldstart,
                     end_bytes=end_bytes,
@@ -541,6 +665,12 @@ def _batched_query_windows(
             metrics.counter("resilience.local_intervals").inc(n_local)
         if retries:
             metrics.counter("resilience.retries").inc(retries)
+    if outcome_windows:
+        metrics.counter("overload.offered").inc(sum(outcome_windows.values()))
+    for outcome, windows in outcome_windows.items():
+        metrics.counter(f"overload.{outcome}").inc(windows)
+    for outcome, count in outcome_queries.items():
+        metrics.counter("overload.queries", {"outcome": outcome}).inc(count)
     if plan_calls:
         metrics.counter("master.plan.calls").inc(plan_calls)
     if n_windows:
@@ -561,294 +691,6 @@ def _batched_query_windows(
         )
     if any_coldstart:
         metrics.counter("sim.coldstart_queries").inc(coldstart_queries)
-
-
-def _per_client_query_windows(
-    active: list[MobileClient],
-    master: MasterServer,
-    metrics,
-    telemetry: Telemetry,
-    config: PerDNNConfig,
-    interval: float,
-    step: int,
-    optimal: bool,
-    faults_on: bool,
-    fault_schedule: FaultSchedule | None,
-    local_this_step: set[int],
-    associated_this_step: set[int],
-    count_memo: dict,
-    admission: AdmissionController | None = None,
-    routing: bool = False,
-) -> None:
-    """Phase 3 (query windows), one client at a time.
-
-    The path of overload and routing runs: with ``admission`` the
-    breaker, admission control and shedding policy decide per client
-    whether (and where, and under which plan) its window is served, and
-    ``routing`` meters each client's relayed tensors over the backhaul.
-    Plain and fault runs take :func:`_batched_query_windows`, which the
-    equivalence tests pin byte for byte against this loop.
-    """
-    overload_on = admission is not None
-    overload_cfg = admission.config if overload_on else None
-    registry = master.registry
-    grid = registry.grid
-    meter = master.traffic_meter
-    for client in active:
-        if faults_on:
-            metrics.counter("resilience.client_intervals").inc()
-            if client.client_id in local_this_step:
-                # Graceful degradation: every query still completes,
-                # on-device at the partitioner's all-local latency.
-                client_partitioner = master.partitioner_for(
-                    client.client_id
-                )
-                outcome = run_local_window(
-                    client_partitioner.local_latency(),
-                    interval,
-                    config.query_gap_seconds,
-                    telemetry=metrics,
-                    count_memo=count_memo,
-                )
-                metrics.counter("resilience.local_intervals").inc()
-                metrics.counter(
-                    "sim.queries",
-                    {"model": client_partitioner.graph.name},
-                ).inc(outcome.count)
-                telemetry.trace.record(
-                    QueryWindowEvent(
-                        interval=step,
-                        client_id=client.client_id,
-                        server_id=None,
-                        queries=outcome.count,
-                        coldstart=False,
-                        end_bytes=0.0,
-                    )
-                )
-                continue
-        assert client.current_server is not None
-        server = master.server(client.current_server)
-        # Overload protection: breaker gate, then admission control,
-        # then the shedding policy.  ``overload_label`` partitions every
-        # offered window into admitted/shed/redirected/degraded.
-        overload_label: str | None = None
-        queue_wait: float | None = None
-        if overload_on:
-            metrics.counter("overload.offered").inc()
-            breaker = client.breaker_for(
-                server.server_id,
-                overload_cfg.breaker_failure_threshold,
-                overload_cfg.breaker_open_intervals,
-            )
-            before = breaker.state
-            allowed = breaker.allows(step)
-            record_breaker_transition(
-                telemetry, step, client.client_id, server.server_id,
-                before, breaker.state,
-            )
-            decision = admission.try_admit(server) if allowed else None
-            if decision is not None and decision.admitted:
-                before = breaker.state
-                breaker.record_success(step)
-                record_breaker_transition(
-                    telemetry, step, client.client_id, server.server_id,
-                    before, breaker.state,
-                )
-                overload_label = "admitted"
-                queue_wait = decision.queue_wait
-            elif (
-                decision is not None
-                and overload_cfg.policy is SheddingPolicy.DEGRADE
-            ):
-                # Still served here, under a client-heavier plan; the
-                # breaker stays untouched — the query was not refused.
-                overload_label = "degraded"
-            else:
-                # Rejected (queue full) or skipped (breaker open).
-                if decision is not None:
-                    before = breaker.state
-                    breaker.record_failure(step)
-                    record_breaker_transition(
-                        telemetry, step, client.client_id,
-                        server.server_id, before, breaker.state,
-                    )
-                target_id = None
-                if overload_cfg.policy is SheddingPolicy.REDIRECT:
-                    target_id = master.redirect_target(
-                        client.position, step,
-                        overload_cfg.redirect_radius_m,
-                        load_of=admission.depth_of,
-                        exclude=(server.server_id,),
-                        require=lambda s: admission.has_capacity(
-                            master.server(s)
-                        ),
-                    )
-                if target_id is not None:
-                    target = master.server(target_id)
-                    target_decision = admission.try_admit(target)
-                    assert target_decision.admitted
-                    server = target  # served by the neighbour
-                    overload_label = "redirected"
-                    queue_wait = target_decision.queue_wait
-                else:
-                    overload_label = "shed"
-            metrics.counter(f"overload.{overload_label}").inc()
-        if overload_label == "shed":
-            # Load shedding: the window completes on the client, at
-            # the all-local latency — no query is ever dropped.
-            client_partitioner = master.partitioner_for(client.client_id)
-            outcome = run_local_window(
-                client_partitioner.local_latency(),
-                interval,
-                config.query_gap_seconds,
-                telemetry=metrics,
-                record_fallback=False,
-                count_memo=count_memo,
-            )
-            metrics.counter(
-                "overload.queries", {"outcome": "shed"}
-            ).inc(outcome.count)
-            metrics.counter(
-                "sim.queries", {"model": client_partitioner.graph.name}
-            ).inc(outcome.count)
-            telemetry.trace.record(
-                QueryWindowEvent(
-                    interval=step,
-                    client_id=client.client_id,
-                    server_id=None,
-                    queries=outcome.count,
-                    coldstart=False,
-                    end_bytes=0.0,
-                )
-            )
-            continue
-        if overload_label == "degraded":
-            plan = master.partitioner_for(client.client_id).degraded(
-                master.estimate_slowdown(server),
-                overload_cfg.degrade_inflation,
-            )
-        else:
-            plan = master.plan_for(server, client.client_id)
-        total_bytes = plan.server_bytes
-        if optimal:
-            cached = total_bytes
-        else:
-            cached = min(
-                server.cached_bytes(
-                    client.client_id, client.model_version
-                ),
-                total_bytes,
-            )
-        # Redirected windows are served away from the association, so
-        # they carry no cold-start verdict for the associated server.
-        if (
-            client.client_id in associated_this_step
-            and overload_label != "redirected"
-        ):
-            threshold = config.hit_byte_fraction * total_bytes
-            hit = total_bytes <= 0 or cached + 1e-6 >= threshold
-            coldstart_label = "hit" if hit else "miss"
-            metrics.counter("sim.cold_start", {"outcome": coldstart_label}).inc()
-            telemetry.trace.record(
-                ColdStartEvent(
-                    interval=step,
-                    client_id=client.client_id,
-                    server_id=server.server_id,
-                    hit=hit,
-                    cached_bytes=cached,
-                    required_bytes=total_bytes,
-                )
-            )
-        overhead = 0.0
-        hops = 0
-        tensors = None
-        if routing:
-            access_cell = grid.cell_of(client.position)
-            home_cell = registry.cell_of_server(server.server_id)
-            hops = grid.hop_distance(access_cell, home_cell)
-            tensors = routed_tensors(plan.costs, plan.plan)
-            overhead = routing_overhead_seconds(config, hops, tensors)
-        uploading = not optimal
-        uplink_bps = config.network.uplink_bps
-        if faults_on and uploading:
-            if not client.upload_allowed(step):
-                uploading = False  # backing off after dropped uploads
-            else:
-                if client.upload_failures > 0:
-                    metrics.counter("resilience.retries").inc()
-                if fault_schedule.upload_dropped(client.client_id, step):
-                    client.record_upload_drop(step)
-                    record_fault(
-                        telemetry, step, "upload_drop",
-                        server_id=client.current_server,
-                        client_id=client.client_id,
-                    )
-                    uploading = False
-                else:
-                    client.record_upload_success()
-                    factor = fault_schedule.uplink_factor(step)
-                    if factor < 1.0:
-                        uplink_bps = config.network.degraded(
-                            factor
-                        ).uplink_bps
-        outcome = run_query_window(
-            plan.schedule,
-            start_bytes=cached,
-            uplink_bps=uplink_bps,
-            duration=interval,
-            query_gap=config.query_gap_seconds,
-            uploading=uploading,
-            latency_overhead=overhead,
-            queue_wait=queue_wait,
-            telemetry=metrics,
-            count_memo=count_memo,
-        )
-        if routing and hops > 0 and outcome.count and tensors is not None:
-            access_server = registry.server_at(client.position)
-            if access_server is not None and access_server != server.server_id:
-                if tensors.uplink_bytes > 0:
-                    meter.record(
-                        step, access_server, server.server_id,
-                        outcome.count * tensors.uplink_bytes,
-                    )
-                if tensors.downlink_bytes > 0:
-                    meter.record(
-                        step, server.server_id, access_server,
-                        outcome.count * tensors.downlink_bytes,
-                    )
-        model_name = master.partitioner_for(client.client_id).graph.name
-        metrics.counter("sim.queries", {"model": model_name}).inc(
-            outcome.count
-        )
-        if overload_label is not None:
-            metrics.counter(
-                "overload.queries", {"outcome": overload_label}
-            ).inc(outcome.count)
-        coldstart = client.client_id in associated_this_step
-        if coldstart:
-            metrics.counter("sim.coldstart_queries").inc(outcome.count)
-        telemetry.trace.record(
-            QueryWindowEvent(
-                interval=step,
-                client_id=client.client_id,
-                server_id=server.server_id,
-                queries=outcome.count,
-                coldstart=coldstart,
-                end_bytes=outcome.end_bytes,
-            )
-        )
-        if not optimal:
-            delta = outcome.end_bytes - cached
-            if delta > 0:
-                server.add_bytes(
-                    client.client_id, delta, step, config.ttl_intervals,
-                    client.model_version,
-                )
-            else:
-                server.refresh_ttl(
-                    client.client_id, step, config.ttl_intervals,
-                    client.model_version,
-                )
 
 
 def run_large_scale(
@@ -1095,22 +937,12 @@ def run_large_scale(
                 seen_servers.add(server_id)
                 planned_servers.append(master.server(server_id))
             master.estimate_slowdowns(planned_servers)
-        # 3. Query loops — one batched pass over every client.  Overload
-        # and routing runs go client by client (shedding/redirection
-        # decide per client what is planned, and routing meters
-        # per-client backhaul transfers).
-        if overload_on or routing:
-            _per_client_query_windows(
-                active, master, metrics, telemetry, config, interval, step,
-                optimal, faults_on, fault_schedule, local_this_step,
-                associated_this_step, count_memo, admission, routing,
-            )
-        else:
-            _batched_query_windows(
-                active, master, metrics, telemetry, config, interval, step,
-                optimal, faults_on, fault_schedule, local_this_step,
-                associated_this_step, count_memo,
-            )
+        # 3. Query loops — one pass over every client.
+        _query_windows(
+            active, master, metrics, telemetry, config, interval, step,
+            optimal, faults_on, fault_schedule, local_this_step,
+            associated_this_step, count_memo, admission, routing,
+        )
         if overload_on:
             admission.export_gauges()
         # 4. Proactive migration (records its own telemetry): one batched

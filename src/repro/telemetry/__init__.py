@@ -36,7 +36,6 @@ from repro.telemetry.export import (
     write_snapshot,
 )
 from repro.telemetry.registry import (
-    TIMER_BUCKETS,
     Counter,
     Gauge,
     Histogram,
@@ -54,14 +53,9 @@ class Telemetry:
     trace: EventTrace = field(default_factory=EventTrace)
 
     @classmethod
-    def create(
-        cls, record_timings: bool = False, record_events: bool = True
-    ) -> "Telemetry":
+    def create(cls, record_events: bool = True) -> "Telemetry":
         trace = EventTrace() if record_events else NullEventTrace()
-        return cls(
-            registry=MetricsRegistry(record_timings=record_timings),
-            trace=trace,
-        )
+        return cls(registry=MetricsRegistry(), trace=trace)
 
     def snapshot(self, meta: dict | None = None) -> dict:
         return snapshot(self.registry, self.trace, meta)
@@ -75,7 +69,6 @@ class Telemetry:
 
 __all__ = [
     "SCHEMA",
-    "TIMER_BUCKETS",
     "EVENT_KINDS",
     "AssociationEvent",
     "BreakerEvent",

@@ -1,4 +1,4 @@
-"""Process-local metrics registry: counters, gauges, histograms, timers.
+"""Process-local metrics registry: counters, gauges, histograms.
 
 The registry is the single instrumentation surface of the reproduction.
 Hot paths (the master's planning loop, edge-server caches, the backhaul
@@ -9,8 +9,7 @@ Design constraints (see ISSUE 1):
 
 * zero dependencies — stdlib + nothing else;
 * deterministic — metric identity is ``(name, sorted labels)``, exported
-  views are sorted, and no wall-clock value enters the registry unless
-  timing capture is explicitly enabled (``record_timings=True``);
+  views are sorted, and no wall-clock value ever enters the registry;
 * cheap — recording is a dict lookup plus a float add, so instrumenting
   the simulator's inner loops does not noticeably change tier-1 runtime.
 """
@@ -21,17 +20,9 @@ import functools
 import itertools
 import math
 import operator
-import time
 from collections.abc import Iterator, Mapping
-from contextlib import contextmanager
-from typing import Callable
 
 Labels = tuple[tuple[str, str], ...]
-
-#: Default bucket upper bounds for scoped timers (seconds).
-TIMER_BUCKETS: tuple[float, ...] = (
-    1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0,
-)
 
 
 def normalize_labels(labels: Mapping[str, str] | None) -> Labels:
@@ -223,18 +214,9 @@ class MetricsRegistry:
     A ``(name, labels)`` pair is bound to one metric kind for the life of
     the registry; asking for the same pair as a different kind (or a
     histogram with different buckets) raises.
-
-    ``record_timings`` gates the wall-clock side of :meth:`timer`: off by
-    default so exported snapshots are bit-reproducible under a fixed seed.
     """
 
-    def __init__(
-        self,
-        record_timings: bool = False,
-        clock: Callable[[], float] | None = None,
-    ) -> None:
-        self.record_timings = record_timings
-        self._clock = clock or time.perf_counter
+    def __init__(self) -> None:
         self._metrics: dict[tuple[str, Labels], Metric] = {}
         # Resolution fast paths for the simulator's hot loops: unlabeled
         # counters by name, histograms by (name, identity of the buckets
@@ -305,26 +287,6 @@ class MetricsRegistry:
             self._unlabeled_histograms[name] = (metric, buckets)
             return metric
         return self._get_or_create(Histogram, name, labels, buckets=buckets)
-
-    # ------------------------------------------------------------------
-    # Timers
-    # ------------------------------------------------------------------
-    @contextmanager
-    def timer(self, name: str, labels: Mapping[str, str] | None = None):
-        """Scoped timer: always counts calls; records seconds into
-        ``<name>.seconds`` only when ``record_timings`` is enabled, so the
-        default export stays deterministic."""
-        self.counter(f"{name}.calls", labels).inc()
-        if not self.record_timings:
-            yield
-            return
-        start = self._clock()
-        try:
-            yield
-        finally:
-            self.histogram(f"{name}.seconds", TIMER_BUCKETS, labels).observe(
-                self._clock() - start
-            )
 
     # ------------------------------------------------------------------
     # Reads

@@ -13,6 +13,10 @@ select them:
 * :class:`QueryRecord`, :func:`run_query_window` and
   :func:`run_local_window` — the query-window integrators that
   materialize one record per query;
+* :func:`per_client_query_windows` and :func:`plan_for` — the
+  one-client-at-a-time query-window phase (overload gate, shedding,
+  redirection, degraded plans, routed backhaul) and the master's
+  per-client planning call;
 * :func:`proactive_migrate`, :func:`migrate_to_predicted` and
   :func:`proactive_migrate_batch` — the per-client migration loop;
 * :func:`propose_associations` — the per-client
@@ -34,17 +38,31 @@ import pytest
 
 from repro.core.association import decide_association
 from repro.core.client import MobileClient
+from repro.core.config import PerDNNConfig
 from repro.core.edge_server import EdgeServer
 from repro.core.master import MasterServer, MigrationPolicy, MigrationRecord
-from repro.faults import record_fault
+from repro.core.routing import routed_tensors, routing_overhead_seconds
+from repro.faults import FaultSchedule, record_fault
 from repro.geo.wifi import EdgeServerRegistry
 from repro.ml.forest import RandomForestRegressor
 from repro.ml.tree import RegressionTree
+from repro.overload import (
+    AdmissionController,
+    SheddingPolicy,
+    record_breaker_transition,
+)
 from repro.overload.admission import QUEUE_WAIT_BUCKETS
+from repro.partitioning.partitioner import PartitionResult
 from repro.partitioning.uploading import UploadSchedule
 from repro.simulation import large_scale
 from repro.simulation.query_loop import QUERY_LATENCY_BUCKETS, WindowOutcome
-from repro.telemetry import FractionalTruncationEvent, MigrationEvent
+from repro.telemetry import (
+    ColdStartEvent,
+    FractionalTruncationEvent,
+    MigrationEvent,
+    QueryWindowEvent,
+    Telemetry,
+)
 from repro.telemetry.registry import MetricsRegistry
 
 
@@ -213,6 +231,311 @@ def run_local_window(
     return RecordedWindow(
         count=len(records), end_bytes=0.0, queries=tuple(records)
     )
+
+
+# ----------------------------------------------------------------------
+# Query-window phase
+# ----------------------------------------------------------------------
+def plan_for(
+    master: MasterServer, server: EdgeServer, client_id: int | None = None
+) -> PartitionResult:
+    """``MasterServer.plan_for``: one client's current plan (§3.B.1).
+
+    Counts ``master.plan.calls`` as the master's scoped planning timer
+    did (its wall-clock side never entered the bytes).
+    """
+    if master.telemetry is not None:
+        master.telemetry.registry.counter("master.plan.calls").inc()
+    return master.partitioner_for(client_id).partition(
+        master.estimate_slowdown(server)
+    )
+
+
+def per_client_query_windows(
+    active: list[MobileClient],
+    master: MasterServer,
+    metrics,
+    telemetry: Telemetry,
+    config: PerDNNConfig,
+    interval: float,
+    step: int,
+    optimal: bool,
+    faults_on: bool,
+    fault_schedule: FaultSchedule | None,
+    local_this_step: set[int],
+    associated_this_step: set[int],
+    count_memo: dict,
+    admission: AdmissionController | None = None,
+    routing: bool = False,
+) -> None:
+    """Phase 3 (query windows), one client at a time.
+
+    With ``admission`` the breaker, admission control and shedding
+    policy decide per client whether (and where, and under which plan)
+    its window is served, and ``routing`` meters each client's relayed
+    tensors over the backhaul.  ``large_scale._query_windows`` batches
+    this loop; the equivalence suites pin the two byte for byte.
+    """
+    overload_on = admission is not None
+    overload_cfg = admission.config if overload_on else None
+    registry = master.registry
+    grid = registry.grid
+    meter = master.traffic_meter
+    for client in active:
+        if faults_on:
+            metrics.counter("resilience.client_intervals").inc()
+            if client.client_id in local_this_step:
+                # Graceful degradation: every query still completes,
+                # on-device at the partitioner's all-local latency.
+                client_partitioner = master.partitioner_for(
+                    client.client_id
+                )
+                outcome = run_local_window(
+                    client_partitioner.local_latency(),
+                    interval,
+                    config.query_gap_seconds,
+                    telemetry=metrics,
+                    count_memo=count_memo,
+                )
+                metrics.counter("resilience.local_intervals").inc()
+                metrics.counter(
+                    "sim.queries",
+                    {"model": client_partitioner.graph.name},
+                ).inc(outcome.count)
+                telemetry.trace.record(
+                    QueryWindowEvent(
+                        interval=step,
+                        client_id=client.client_id,
+                        server_id=None,
+                        queries=outcome.count,
+                        coldstart=False,
+                        end_bytes=0.0,
+                    )
+                )
+                continue
+        assert client.current_server is not None
+        server = master.server(client.current_server)
+        # Overload protection: breaker gate, then admission control,
+        # then the shedding policy.  ``overload_label`` partitions every
+        # offered window into admitted/shed/redirected/degraded.
+        overload_label: str | None = None
+        queue_wait: float | None = None
+        if overload_on:
+            metrics.counter("overload.offered").inc()
+            breaker = client.breaker_for(
+                server.server_id,
+                overload_cfg.breaker_failure_threshold,
+                overload_cfg.breaker_open_intervals,
+            )
+            before = breaker.state
+            allowed = breaker.allows(step)
+            record_breaker_transition(
+                telemetry, step, client.client_id, server.server_id,
+                before, breaker.state,
+            )
+            decision = admission.try_admit(server) if allowed else None
+            if decision is not None and decision.admitted:
+                before = breaker.state
+                breaker.record_success(step)
+                record_breaker_transition(
+                    telemetry, step, client.client_id, server.server_id,
+                    before, breaker.state,
+                )
+                overload_label = "admitted"
+                queue_wait = decision.queue_wait
+            elif (
+                decision is not None
+                and overload_cfg.policy is SheddingPolicy.DEGRADE
+            ):
+                # Still served here, under a client-heavier plan; the
+                # breaker stays untouched — the query was not refused.
+                overload_label = "degraded"
+            else:
+                # Rejected (queue full) or skipped (breaker open).
+                if decision is not None:
+                    before = breaker.state
+                    breaker.record_failure(step)
+                    record_breaker_transition(
+                        telemetry, step, client.client_id,
+                        server.server_id, before, breaker.state,
+                    )
+                target_id = None
+                if overload_cfg.policy is SheddingPolicy.REDIRECT:
+                    target_id = master.redirect_target(
+                        client.position, step,
+                        overload_cfg.redirect_radius_m,
+                        load_of=admission.depth_of,
+                        exclude=(server.server_id,),
+                        require=lambda s: admission.has_capacity(
+                            master.server(s)
+                        ),
+                    )
+                if target_id is not None:
+                    target = master.server(target_id)
+                    target_decision = admission.try_admit(target)
+                    assert target_decision.admitted
+                    server = target  # served by the neighbour
+                    overload_label = "redirected"
+                    queue_wait = target_decision.queue_wait
+                else:
+                    overload_label = "shed"
+            metrics.counter(f"overload.{overload_label}").inc()
+        if overload_label == "shed":
+            # Load shedding: the window completes on the client, at
+            # the all-local latency — no query is ever dropped.
+            client_partitioner = master.partitioner_for(client.client_id)
+            outcome = run_local_window(
+                client_partitioner.local_latency(),
+                interval,
+                config.query_gap_seconds,
+                telemetry=metrics,
+                record_fallback=False,
+                count_memo=count_memo,
+            )
+            metrics.counter(
+                "overload.queries", {"outcome": "shed"}
+            ).inc(outcome.count)
+            metrics.counter(
+                "sim.queries", {"model": client_partitioner.graph.name}
+            ).inc(outcome.count)
+            telemetry.trace.record(
+                QueryWindowEvent(
+                    interval=step,
+                    client_id=client.client_id,
+                    server_id=None,
+                    queries=outcome.count,
+                    coldstart=False,
+                    end_bytes=0.0,
+                )
+            )
+            continue
+        if overload_label == "degraded":
+            plan = master.partitioner_for(client.client_id).degraded(
+                master.estimate_slowdown(server),
+                overload_cfg.degrade_inflation,
+            )
+        else:
+            plan = plan_for(master, server, client.client_id)
+        total_bytes = plan.server_bytes
+        if optimal:
+            cached = total_bytes
+        else:
+            cached = min(
+                server.cached_bytes(
+                    client.client_id, client.model_version
+                ),
+                total_bytes,
+            )
+        # Redirected windows are served away from the association, so
+        # they carry no cold-start verdict for the associated server.
+        if (
+            client.client_id in associated_this_step
+            and overload_label != "redirected"
+        ):
+            threshold = config.hit_byte_fraction * total_bytes
+            hit = total_bytes <= 0 or cached + 1e-6 >= threshold
+            coldstart_label = "hit" if hit else "miss"
+            metrics.counter("sim.cold_start", {"outcome": coldstart_label}).inc()
+            telemetry.trace.record(
+                ColdStartEvent(
+                    interval=step,
+                    client_id=client.client_id,
+                    server_id=server.server_id,
+                    hit=hit,
+                    cached_bytes=cached,
+                    required_bytes=total_bytes,
+                )
+            )
+        overhead = 0.0
+        hops = 0
+        tensors = None
+        if routing:
+            access_cell = grid.cell_of(client.position)
+            home_cell = registry.cell_of_server(server.server_id)
+            hops = grid.hop_distance(access_cell, home_cell)
+            tensors = routed_tensors(plan.costs, plan.plan)
+            overhead = routing_overhead_seconds(config, hops, tensors)
+        uploading = not optimal
+        uplink_bps = config.network.uplink_bps
+        if faults_on and uploading:
+            if not client.upload_allowed(step):
+                uploading = False  # backing off after dropped uploads
+            else:
+                if client.upload_failures > 0:
+                    metrics.counter("resilience.retries").inc()
+                if fault_schedule.upload_dropped(client.client_id, step):
+                    client.record_upload_drop(step)
+                    record_fault(
+                        telemetry, step, "upload_drop",
+                        server_id=client.current_server,
+                        client_id=client.client_id,
+                    )
+                    uploading = False
+                else:
+                    client.record_upload_success()
+                    factor = fault_schedule.uplink_factor(step)
+                    if factor < 1.0:
+                        uplink_bps = config.network.degraded(
+                            factor
+                        ).uplink_bps
+        outcome = run_query_window(
+            plan.schedule,
+            start_bytes=cached,
+            uplink_bps=uplink_bps,
+            duration=interval,
+            query_gap=config.query_gap_seconds,
+            uploading=uploading,
+            latency_overhead=overhead,
+            queue_wait=queue_wait,
+            telemetry=metrics,
+            count_memo=count_memo,
+        )
+        if routing and hops > 0 and outcome.count and tensors is not None:
+            access_server = registry.server_at(client.position)
+            if access_server is not None and access_server != server.server_id:
+                if tensors.uplink_bytes > 0:
+                    meter.record(
+                        step, access_server, server.server_id,
+                        outcome.count * tensors.uplink_bytes,
+                    )
+                if tensors.downlink_bytes > 0:
+                    meter.record(
+                        step, server.server_id, access_server,
+                        outcome.count * tensors.downlink_bytes,
+                    )
+        model_name = master.partitioner_for(client.client_id).graph.name
+        metrics.counter("sim.queries", {"model": model_name}).inc(
+            outcome.count
+        )
+        if overload_label is not None:
+            metrics.counter(
+                "overload.queries", {"outcome": overload_label}
+            ).inc(outcome.count)
+        coldstart = client.client_id in associated_this_step
+        if coldstart:
+            metrics.counter("sim.coldstart_queries").inc(outcome.count)
+        telemetry.trace.record(
+            QueryWindowEvent(
+                interval=step,
+                client_id=client.client_id,
+                server_id=server.server_id,
+                queries=outcome.count,
+                coldstart=coldstart,
+                end_bytes=outcome.end_bytes,
+            )
+        )
+        if not optimal:
+            delta = outcome.end_bytes - cached
+            if delta > 0:
+                server.add_bytes(
+                    client.client_id, delta, step, config.ttl_intervals,
+                    client.model_version,
+                )
+            else:
+                server.refresh_ttl(
+                    client.client_id, step, config.ttl_intervals,
+                    client.model_version,
+                )
 
 
 # ----------------------------------------------------------------------
@@ -472,9 +795,9 @@ def patched(
     """Run the block on the reference paths.
 
     ``simulate`` replaces the interval loop's array passes: per-client
-    association, the per-client query-window phase for every run, the
-    record-materializing window integrators, and one
-    :func:`proactive_migrate` call per client.  ``predict`` replaces
+    association, :func:`per_client_query_windows` for every run (plain,
+    fault, overload and routing), the record-materializing window
+    integrators, and one :func:`proactive_migrate` call per client.  ``predict`` replaces
     forest prediction with the node walk; ``migrate`` replaces the
     array-form migration tail with :func:`migrate_to_predicted` (the
     per-client ``simulate`` migration phase takes precedence).
@@ -500,8 +823,7 @@ def patched(
                 large_scale, "propose_associations", propose_associations
             )
             mp.setattr(
-                large_scale, "_batched_query_windows",
-                large_scale._per_client_query_windows,
+                large_scale, "_query_windows", per_client_query_windows
             )
             mp.setattr(large_scale, "run_query_window", run_query_window)
             mp.setattr(large_scale, "run_local_window", run_local_window)

@@ -30,9 +30,6 @@ class TestQuantize:
         assert partitioner.quantize(0.1) == 1.0
         assert partitioner.quantize(-3.0) == 1.0
 
-    def test_private_alias_still_works(self, partitioner):
-        assert partitioner._quantize(1.7) == partitioner.quantize(1.7)
-
 
 class TestCacheEquivalence:
     def test_partition_of_quantized_is_same_object(self, partitioner):

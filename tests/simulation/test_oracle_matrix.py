@@ -6,10 +6,12 @@ of those oracles are patched in at once — per-client association and
 query windows, record-materializing window integrators, per-client
 proactive migration and the node-walk forest — and each run must
 export exactly the telemetry bytes (events included) production
-exports.  The matrix spans every migration policy with and without
-fault injection and overload protection, plus the knobs that reach
-otherwise cold branches: handover hysteresis, a heterogeneous model
-pool, periodic model updates and a binding fractional-migration budget.
+exports.  The matrix spans every migration policy, plain, with fault
+injection, and under binding overload protection (reject, degrade and
+flash-crowd redirect cases that each reach their branch), plus the
+knobs that reach otherwise cold branches: handover hysteresis, a
+heterogeneous model pool, periodic model updates, a binding
+fractional-migration budget and dropped uploads on redirected windows.
 Each case runs unsharded and sharded.
 """
 
@@ -26,10 +28,35 @@ from repro.simulation.sharding import run_large_scale_sharded
 from repro.trajectories.synthetic import kaist_like
 from tests.oracles import reference_paths
 
+# The overload cases bind at this shape: queue capacity 1 sheds or
+# degrades 8-12 of the 108 offered windows, and flash-crowd crashes at
+# capacity 2 steer 17-18 orphaned clients and redirect one window.
 SUBSYSTEMS = {
     "plain": {},
     "churn": {"faults": get_profile("churn")},
-    "redirect": {"overload": OverloadConfig(policy=SheddingPolicy.REDIRECT)},
+    "reject": {
+        "overload": OverloadConfig(
+            policy=SheddingPolicy.REJECT, queue_capacity=1
+        ),
+    },
+    "degrade": {
+        "overload": OverloadConfig(
+            policy=SheddingPolicy.DEGRADE, queue_capacity=1
+        ),
+    },
+    "redirect": {
+        "faults": get_profile("flash-crowd"),
+        "overload": OverloadConfig(
+            policy=SheddingPolicy.REDIRECT, queue_capacity=2
+        ),
+    },
+}
+#: Counters each overload case must move, so it reaches its branch.
+BRANCH_COUNTERS = {
+    "reject": ("overload.shed",),
+    "degrade": ("overload.degraded",),
+    "redirect": ("overload.redirected", "overload.steered"),
+    "flaky-redirect": ("overload.redirected",),
 }
 
 CASES = {
@@ -41,6 +68,15 @@ CASES["perdnn-hysteresis"] = {"hysteresis_m": 30.0}
 CASES["perdnn-two-models"] = {"two_models": True}
 CASES["perdnn-model-updates"] = {"model_update_every": 2}
 CASES["perdnn-crowded"] = {"crowded": True}
+# Dropped uploads on redirected windows: the fault names the associated
+# server, the window the redirect target.
+CASES["routing-flaky-redirect"] = {
+    "policy": MigrationPolicy.ROUTING,
+    "faults": get_profile("flaky-backhaul"),
+    "overload": OverloadConfig(
+        policy=SheddingPolicy.REDIRECT, queue_capacity=1
+    ),
+}
 
 
 @pytest.fixture(scope="module")
@@ -108,29 +144,49 @@ def test_production_matches_reference_oracles(
         assert registry.value("sim.server_changes") > 0
     if case == "perdnn-model-updates":
         assert registry.value("sim.model_updates") > 0
+    if case == "routing-flaky-redirect":
+        assert registry.value("fault.injected", {"kind": "upload_drop"}) > 0
+    for counter in BRANCH_COUNTERS.get(case.split("-", 1)[1], ()):
+        assert registry.value(counter) > 0, counter
 
 
-def test_patched_installs_and_restores():
+def test_patched_installs_and_restores(
+    dataset, tiny_partitioner, branchy_partitioner, monkeypatch
+):
     from repro.core.master import MasterServer
     from repro.ml.forest import RandomForestRegressor
     from repro.simulation import large_scale
 
+    oracle = reference_paths.per_client_query_windows
+    calls = []
+
+    def spy(*args):
+        calls.append(args[-2:])  # (admission, routing)
+        return oracle(*args)
+
+    monkeypatch.setattr(reference_paths, "per_client_query_windows", spy)
     originals = (
-        large_scale._batched_query_windows,
+        large_scale._query_windows,
         large_scale.run_query_window,
         large_scale.propose_associations,
         MasterServer.proactive_migrate_batch,
         RandomForestRegressor.predict,
     )
     with reference_paths.patched():
-        assert (
-            large_scale._batched_query_windows
-            is large_scale._per_client_query_windows
-        )
+        assert large_scale._query_windows is spy
         assert large_scale.run_query_window is reference_paths.run_query_window
         assert RandomForestRegressor.predict is reference_paths.forest_predict
+        # Overload and routing runs take the per-client oracle too.
+        run_case(
+            "routing-reject", False,
+            dataset, tiny_partitioner, branchy_partitioner,
+        )
+    assert calls
+    assert all(
+        admission is not None and routing for admission, routing in calls
+    )
     assert (
-        large_scale._batched_query_windows,
+        large_scale._query_windows,
         large_scale.run_query_window,
         large_scale.propose_associations,
         MasterServer.proactive_migrate_batch,

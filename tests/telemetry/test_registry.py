@@ -1,7 +1,10 @@
-"""Unit tests for counters, gauges, histograms, timers, and the registry."""
+"""Unit tests for counters, gauges, histograms, and the registry."""
 
+import numpy as np
 import pytest
 
+from repro.core.master import MigrationPolicy
+from repro.simulation.large_scale import SimulationSettings, run_large_scale
 from repro.telemetry import (
     Counter,
     Gauge,
@@ -9,6 +12,7 @@ from repro.telemetry import (
     MetricsRegistry,
     normalize_labels,
 )
+from repro.trajectories.synthetic import kaist_like
 
 
 class TestCounter:
@@ -165,32 +169,20 @@ class TestRegistry:
         assert doc["histograms"][0]["counts"] == [0, 1]
 
 
-class TestTimer:
-    def test_timer_counts_calls_without_wall_clock_by_default(self):
-        reg = MetricsRegistry()  # record_timings=False
-        with reg.timer("plan"):
-            pass
-        assert reg.value("plan.calls") == 1.0
-        # No histogram was created: the export carries no wall-clock data.
-        assert all(m.name != "plan.seconds" for m in reg.metrics())
-
-    def test_timer_records_seconds_when_enabled(self):
-        ticks = iter([1.0, 3.5])
-        reg = MetricsRegistry(record_timings=True, clock=lambda: next(ticks))
-        with reg.timer("plan"):
-            pass
-        hist = next(m for m in reg.metrics() if m.name == "plan.seconds")
-        assert hist.count == 1
-        assert hist.sum == pytest.approx(2.5)
-
-    def test_timer_records_even_when_body_raises(self):
-        ticks = iter([0.0, 1.0])
-        reg = MetricsRegistry(record_timings=True, clock=lambda: next(ticks))
-        with pytest.raises(RuntimeError):
-            with reg.timer("plan"):
-                raise RuntimeError("boom")
-        hist = next(m for m in reg.metrics() if m.name == "plan.seconds")
-        assert hist.count == 1
+class TestNoWallClock:
+    def test_run_counts_plan_calls_without_wall_clock(self, tiny_partitioner):
+        """Planning is counted, never timed: the export holds no clock."""
+        dataset = kaist_like(
+            np.random.default_rng(0), num_users=4, duration_steps=30
+        )
+        settings = SimulationSettings(
+            policy=MigrationPolicy.NONE, max_steps=3,
+            use_contention_estimator=False,
+        )
+        result = run_large_scale(dataset, tiny_partitioner, settings)
+        registry = result.telemetry.registry
+        assert registry.value("master.plan.calls") > 0
+        assert not any(m.name.endswith(".seconds") for m in registry.metrics())
 
 
 class TestMerge:
