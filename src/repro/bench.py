@@ -212,8 +212,7 @@ def bench_large_scale(quick: bool, seed: int, repeats: int) -> dict:
     from repro.simulation.large_scale import (
         SimulationSettings,
         run_large_scale,
-        train_default_estimator,
-        train_default_predictor,
+        train_default_models,
     )
     from repro.trajectories.synthetic import kaist_like
 
@@ -228,13 +227,10 @@ def bench_large_scale(quick: bool, seed: int, repeats: int) -> dict:
     settings = SimulationSettings(
         policy=MigrationPolicy.PERDNN, max_steps=max_steps, seed=seed
     )
-    partitioner = _build_partitioner("mobilenet")
-    train, _ = dataset.split_time(settings.replay_fraction)
-    aux_rng = np.random.default_rng(seed)
-    predictor = train_default_predictor(
-        train, config.prediction_history, aux_rng
+    predictor, estimator = train_default_models(
+        dataset, _build_partitioner("mobilenet"), settings, config,
+        np.random.default_rng(seed),
     )
-    estimator = train_default_estimator(partitioner, aux_rng)
 
     def run() -> None:
         run_large_scale(
@@ -267,8 +263,7 @@ def _sharded_workload(quick: bool, seed: int) -> dict:
     from repro.core.master import MigrationPolicy
     from repro.simulation.large_scale import (
         SimulationSettings,
-        train_default_estimator,
-        train_default_predictor,
+        train_default_models,
     )
     from repro.trajectories.synthetic import kaist_like
 
@@ -282,13 +277,10 @@ def _sharded_workload(quick: bool, seed: int) -> dict:
     settings = SimulationSettings(
         policy=MigrationPolicy.PERDNN, max_steps=max_steps, seed=seed
     )
-    partitioner = _build_partitioner("mobilenet")
-    train, _ = dataset.split_time(settings.replay_fraction)
-    aux_rng = np.random.default_rng(seed)
-    predictor = train_default_predictor(
-        train, config.prediction_history, aux_rng
+    predictor, estimator = train_default_models(
+        dataset, _build_partitioner("mobilenet"), settings, config,
+        np.random.default_rng(seed),
     )
-    estimator = train_default_estimator(partitioner, aux_rng)
     return {
         "dataset": dataset,
         "config": config,
@@ -575,7 +567,7 @@ def bench_large_scale_sharded_100k(quick: bool, seed: int, repeats: int) -> dict
     median is reported next to it as ``seconds_median``.
 
     Setup is untimed and deliberately amortized: the mobility predictor
-    trains on a 10k-user subsample of the train split (SVR training is
+    trains on the train split of the first 10k users (SVR training is
     superlinear in users and contributes nothing to the timed region —
     the broadcast blob the shards receive is identical in size either
     way).  Quick mode scales the population down for CI smoke runs.
@@ -585,8 +577,7 @@ def bench_large_scale_sharded_100k(quick: bool, seed: int, repeats: int) -> dict
     from repro.mobility.trajectory import TrajectoryDataset
     from repro.simulation.large_scale import (
         SimulationSettings,
-        train_default_estimator,
-        train_default_predictor,
+        train_default_models,
     )
     from repro.simulation.sharding import run_large_scale_sharded
     from repro.trajectories.synthetic import kaist_like
@@ -605,19 +596,16 @@ def bench_large_scale_sharded_100k(quick: bool, seed: int, repeats: int) -> dict
         dataset = kaist_like(
             rng, num_users=users, duration_steps=dataset_steps
         )
-        partitioner = _build_partitioner("mobilenet")
-        train, _ = dataset.split_time(settings.replay_fraction)
-        train_sub = TrajectoryDataset(
-            name=train.name,
-            interval_seconds=train.interval_seconds,
-            bbox=train.bbox,
-            trajectories=train.trajectories[: min(users, 10_000)],
+        head = TrajectoryDataset(
+            name=dataset.name,
+            interval_seconds=dataset.interval_seconds,
+            bbox=dataset.bbox,
+            trajectories=dataset.trajectories[:10_000],
         )
-        aux_rng = np.random.default_rng(seed)
-        predictor = train_default_predictor(
-            train_sub, config.prediction_history, aux_rng
+        predictor, estimator = train_default_models(
+            head, _build_partitioner("mobilenet"), settings, config,
+            np.random.default_rng(seed),
         )
-        estimator = train_default_estimator(partitioner, aux_rng)
         return dataset, predictor, estimator
 
     def run(state) -> dict:
@@ -700,8 +688,7 @@ def bench_large_scale_sharded_1m(quick: bool, seed: int, repeats: int) -> dict:
     from repro.mobility.trajectory import TrajectoryDataset
     from repro.simulation.large_scale import (
         SimulationSettings,
-        train_default_estimator,
-        train_default_predictor,
+        train_default_models,
     )
     from repro.simulation.sharding import run_large_scale_sharded
     from repro.trajectories.synthetic import kaist_like
@@ -720,19 +707,16 @@ def bench_large_scale_sharded_1m(quick: bool, seed: int, repeats: int) -> dict:
         dataset = kaist_like(
             rng, num_users=users, duration_steps=dataset_steps
         )
-        partitioner = _build_partitioner("mobilenet")
-        train, _ = dataset.split_time(settings.replay_fraction)
-        train_sub = TrajectoryDataset(
-            name=train.name,
-            interval_seconds=train.interval_seconds,
-            bbox=train.bbox,
-            trajectories=train.trajectories[: min(users, 10_000)],
+        head = TrajectoryDataset(
+            name=dataset.name,
+            interval_seconds=dataset.interval_seconds,
+            bbox=dataset.bbox,
+            trajectories=dataset.trajectories[:10_000],
         )
-        aux_rng = np.random.default_rng(seed)
-        predictor = train_default_predictor(
-            train_sub, config.prediction_history, aux_rng
+        predictor, estimator = train_default_models(
+            head, _build_partitioner("mobilenet"), settings, config,
+            np.random.default_rng(seed),
         )
-        estimator = train_default_estimator(partitioner, aux_rng)
         return dataset, predictor, estimator
 
     def run(state) -> dict:

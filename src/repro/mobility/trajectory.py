@@ -67,6 +67,15 @@ class Trajectory:
         return X, y
 
 
+def replay_cut(n: int, replay_fraction: float) -> int:
+    """Where a length-``n`` trajectory's replayed tail starts.
+
+    ``points[:cut]`` trains the predictor and ``points[cut:]`` is
+    replayed; each part keeps at least one point whenever ``n >= 2``.
+    """
+    return max(1, min(n - 1, int(round(n * (1.0 - replay_fraction)))))
+
+
 @dataclass(frozen=True)
 class TrajectoryDataset:
     """A named set of trajectories over one evaluation region."""
@@ -124,34 +133,10 @@ class TrajectoryDataset:
         """Split every trajectory in time: early part trains the predictor,
         the late part is replayed in the simulation (keeps all users, like
         the paper's replay of held-out trace segments)."""
-        if not 0.0 < test_fraction < 1.0:
-            raise ValueError("test_fraction must be in (0, 1)")
-        train_parts = []
-        test_parts = []
-        for trajectory in self.trajectories:
-            n = len(trajectory)
-            cut = max(1, min(n - 1, int(round(n * (1.0 - test_fraction)))))
-            train_parts.append(
-                Trajectory(
-                    trajectory.user_id,
-                    self.interval_seconds,
-                    trajectory.points[:cut].copy(),
-                )
-            )
-            test_parts.append(
-                Trajectory(
-                    trajectory.user_id,
-                    self.interval_seconds,
-                    trajectory.points[cut:].copy(),
-                )
-            )
-        make = lambda subset, suffix: TrajectoryDataset(
-            name=f"{self.name}-{suffix}",
-            interval_seconds=self.interval_seconds,
-            bbox=self.bbox,
-            trajectories=tuple(subset),
+        return (
+            self._time_part(test_fraction, "train"),
+            self._time_part(test_fraction, "test"),
         )
-        return make(train_parts, "train"), make(test_parts, "test")
 
     def replay_split(self, test_fraction: float) -> "TrajectoryDataset":
         """Just the replay (late) half of :meth:`split_time`.
@@ -161,24 +146,30 @@ class TrajectoryDataset:
         training half.  The sharded runner hands every shard pre-trained
         predictors, so per-shard training slices are pure waste there.
         """
+        return self._time_part(test_fraction, "test")
+
+    def _time_part(
+        self, test_fraction: float, part: str
+    ) -> "TrajectoryDataset":
+        """The ``train`` (early) or ``test`` (late) part of every trace."""
         if not 0.0 < test_fraction < 1.0:
             raise ValueError("test_fraction must be in (0, 1)")
-        test_parts = []
+        parts = []
         for trajectory in self.trajectories:
-            n = len(trajectory)
-            cut = max(1, min(n - 1, int(round(n * (1.0 - test_fraction)))))
-            test_parts.append(
+            cut = replay_cut(len(trajectory), test_fraction)
+            points = trajectory.points
+            parts.append(
                 Trajectory(
                     trajectory.user_id,
                     self.interval_seconds,
-                    trajectory.points[cut:].copy(),
+                    (points[:cut] if part == "train" else points[cut:]).copy(),
                 )
             )
         return TrajectoryDataset(
-            name=f"{self.name}-test",
+            name=f"{self.name}-{part}",
             interval_seconds=self.interval_seconds,
             bbox=self.bbox,
-            trajectories=tuple(test_parts),
+            trajectories=tuple(parts),
         )
 
     def subsample(self, factor: int) -> "TrajectoryDataset":

@@ -79,10 +79,6 @@ class UploadSchedule:
     def _cumulative_list(self) -> list[float]:
         return self._cumulative.tolist()
 
-    @cached_property
-    def _latency_array(self) -> np.ndarray:
-        return np.asarray(self.latencies, dtype=float)
-
     def latency_after_bytes(self, received_bytes: float) -> float:
         """Query latency once ``received_bytes`` of the schedule arrived."""
         if not self.chunks:
@@ -91,21 +87,6 @@ class UploadSchedule:
         # (side="right") would scan — identical index, ~30x less overhead.
         stage = bisect_right(self._cumulative_list, received_bytes + 1e-9)
         return self.latencies[stage]
-
-    def latencies_after_bytes(self, received_bytes: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`latency_after_bytes` over many byte counts.
-
-        Each element equals the scalar lookup bit-for-bit: the same
-        ``+ 1e-9`` nudge, the same right-bisection over the same cumulative
-        array, the same latency table.
-        """
-        received = np.asarray(received_bytes, dtype=float)
-        if not self.chunks:
-            return np.full(received.shape, self.latencies[0])
-        stages = np.searchsorted(
-            self._cumulative, received + 1e-9, side="right"
-        )
-        return self._latency_array[stages]
 
     def chunks_within_bytes(self, byte_budget: float) -> tuple[UploadChunk, ...]:
         """Prefix of the schedule fitting in ``byte_budget`` bytes."""

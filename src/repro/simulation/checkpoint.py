@@ -242,16 +242,6 @@ class ShardDatasetStore:
         with open(path, "rb") as handle:
             return pickle.load(handle)
 
-    @staticmethod
-    def read_bytes(path: str) -> bytes:
-        """The raw pickle bytes of a spilled sub-dataset.
-
-        Used by the remote executor to ship a spilled dataset in-band to
-        a shard worker that cannot see the local filesystem.
-        """
-        with open(path, "rb") as handle:
-            return handle.read()
-
     def cleanup(self) -> None:
         """Best-effort removal of every spilled file and the directory."""
         try:

@@ -1,19 +1,14 @@
 """Large-scale smart-city simulation (§4.B: Fig 9, §4.B.4, Fig 10).
 
-Replays every user of a trajectory dataset simultaneously.  Each interval:
-
-1. clients move to their next trace point and (re-)associate with the edge
-   server of their hex cell — each association to a *different* server is a
-   potential cold start;
-2. server GPUs advance their contention state under the current client
-   load;
-3. every client runs its query loop for one interval, uploading missing
-   layers in the background (its plan comes from the master's GPU-aware
-   partitioner);
-4. under the PerDNN policy the master predicts each client's next location
-   and proactively migrates layers to all servers within the migration
-   radius (fractionally for crowded servers);
-5. cached models past their TTL are evicted.
+Replays every user of a trajectory dataset simultaneously.  Each interval
+runs five phases over one per-run :class:`_Run` state: fault transitions
+and model updates (:func:`_fault_phase`); movement and (re-)association,
+where each association to a *different* server is a potential cold start
+(:func:`_association_phase`); the GPU step and slowdown estimates
+(:func:`_contention_phase`); one query window per client, uploading
+missing layers in the background (:func:`_query_windows`); and
+proactive migration to every server within the migration radius of each
+client's predicted location, then TTL eviction (:func:`_migration_phase`).
 
 Metrics follow the paper: cold-start hits/misses and the number of queries
 executed during the interval right after each association (Fig 9), plus
@@ -37,9 +32,8 @@ from repro.faults import FaultProfile, FaultSchedule, record_fault
 from repro.geo.hexgrid import HexGrid
 from repro.geo.wifi import EdgeServerRegistry
 from repro.mobility.predictor import PointPredictor
-from repro.mobility.svr import SVRPredictor
-from repro.mobility.trajectory import TrajectoryDataset
-from repro.network.traffic import TrafficMeter, TrafficSummary
+from repro.mobility.trajectory import Trajectory, TrajectoryDataset
+from repro.network.traffic import TrafficMeter
 from repro.overload import (
     QUEUE_WAIT_BUCKETS,
     AdmissionController,
@@ -48,12 +42,18 @@ from repro.overload import (
     record_breaker_transition,
 )
 from repro.partitioning.partitioner import DNNPartitioner
-from repro.profiling.profiler import generate_contention_dataset
 from repro.simulation.query_loop import (
     QUERY_LATENCY_BUCKETS,
     _steady_query_count,
     run_local_window,
     run_query_window,
+)
+from repro.simulation.result import LargeScaleResult, assemble_result
+# The trainers are re-exported: callers import them from this module.
+from repro.simulation.training import (  # noqa: F401
+    train_default_estimator,
+    train_default_models,
+    train_default_predictor,
 )
 from repro.simulation.vectorized import ClientArrays, propose_associations
 from repro.telemetry import (
@@ -64,6 +64,7 @@ from repro.telemetry import (
     QueryWindowEvent,
     Telemetry,
 )
+
 
 @dataclass(frozen=True)
 class SimulationSettings:
@@ -92,8 +93,9 @@ class SimulationSettings:
     overload: OverloadConfig | None = None
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.replay_fraction <= 1.0:
-            raise ValueError("replay_fraction must be in (0, 1]")
+        # The time split needs both a train and a replay part.
+        if not 0.0 < self.replay_fraction < 1.0:
+            raise ValueError("replay_fraction must be in (0, 1)")
         if self.max_steps is not None and self.max_steps < 1:
             raise ValueError("max_steps must be >= 1 (or None for all)")
         if self.migration_radius_m < 0:
@@ -104,165 +106,300 @@ class SimulationSettings:
             raise ValueError("model_update_every must be >= 1 (or None)")
 
 
-@dataclass
-class LargeScaleResult:
-    """Everything §4.B reports about one simulation run.
-
-    The per-run counters (hits, misses, queries, migrations, ...) are
-    *derived views* of the run's telemetry registry — ``from_telemetry``
-    reads them out once the simulation loop finishes, so the registry is
-    the single source of truth and exported snapshots always agree with
-    the reported result.
-    """
-
-    policy: str
-    dataset: str
-    model: str
-    steps: int = 0
-    num_servers: int = 0
-    num_clients: int = 0
-    hits: int = 0
-    misses: int = 0
-    coldstart_queries: int = 0  # queries during post-association intervals
-    total_queries: int = 0
-    migrations: int = 0
-    migrated_bytes: float = 0.0
-    uplink: TrafficSummary | None = None
-    downlink: TrafficSummary | None = None
-    server_changes: int = 0
-    # Resilience view (all trivial when no faults were injected): queries
-    # answered on-device because no live server was reachable, the share
-    # of client-intervals served remotely, and upload retry attempts.
-    local_fallback_queries: int = 0
-    availability: float = 1.0
-    upload_retries: int = 0
-    # Overload-protection view (all zero when admission control is off):
-    # queries completed in windows that were shed to local execution,
-    # served by a redirect target, or served under a degraded plan, plus
-    # the p99 of the modelled admission-queue wait.
-    shed_queries: int = 0
-    redirected_queries: int = 0
-    degraded_queries: int = 0
-    queue_wait_p99: float = 0.0
-    extras: dict = field(default_factory=dict)
-    telemetry: Telemetry | None = None
-
-    @property
-    def hit_ratio(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def fill_from_telemetry(self) -> None:
-        """Read the reported counters out of the run's registry."""
-        assert self.telemetry is not None
-        registry = self.telemetry.registry
-        self.hits = int(registry.value("sim.cold_start", {"outcome": "hit"}))
-        self.misses = int(
-            registry.value("sim.cold_start", {"outcome": "miss"})
-        )
-        self.server_changes = int(registry.value("sim.server_changes"))
-        self.total_queries = int(registry.value("query.completed"))
-        self.coldstart_queries = int(registry.value("sim.coldstart_queries"))
-        self.migrations = int(registry.value("migration.count"))
-        self.migrated_bytes = registry.value("migration.bytes")
-        self.steps = int(registry.value("sim.steps"))
-        per_model = {
-            labels["model"]: int(value)
-            for labels, value in registry.series("sim.queries")
-        }
-        if per_model:
-            self.extras["per_model_queries"] = per_model
-        model_updates = int(registry.value("sim.model_updates"))
-        if model_updates:
-            self.extras["model_updates"] = model_updates
-        self.local_fallback_queries = int(
-            registry.value("query.local_fallback")
-        )
-        self.upload_retries = int(registry.value("resilience.retries"))
-        client_intervals = registry.value("resilience.client_intervals")
-        local_intervals = registry.value("resilience.local_intervals")
-        self.availability = (
-            1.0 - local_intervals / client_intervals
-            if client_intervals else 1.0
-        )
-        fault_counts = {
-            labels["kind"]: int(value)
-            for labels, value in registry.series("fault.injected")
-        }
-        if fault_counts:
-            self.extras["faults"] = fault_counts
-        per_outcome = {
-            labels["outcome"]: int(value)
-            for labels, value in registry.series("overload.queries")
-        }
-        self.shed_queries = per_outcome.get("shed", 0)
-        self.redirected_queries = per_outcome.get("redirected", 0)
-        self.degraded_queries = per_outcome.get("degraded", 0)
-        wait = registry.get("overload.queue_wait_seconds")
-        if isinstance(wait, Histogram) and wait.count:
-            self.queue_wait_p99 = wait.quantile(0.99)
-        offered = int(registry.value("overload.offered"))
-        if offered:
-            self.extras["overload"] = {
-                "offered": offered,
-                "admitted": int(registry.value("overload.admitted")),
-                "shed": int(registry.value("overload.shed")),
-                "redirected": int(registry.value("overload.redirected")),
-                "degraded": int(registry.value("overload.degraded")),
-                "steered_associations": int(
-                    registry.value("overload.steered")
-                ),
-            }
-
-
 def _resolve_fault_schedule(
     settings: SimulationSettings,
     registry: EdgeServerRegistry,
-    replay: TrajectoryDataset,
+    usable: list[Trajectory],
 ) -> FaultSchedule | None:
     """Instantiate the run's fault schedule (None = fault layer off).
 
     Profiles are built from the run's allocated servers, seed, and replay
-    horizon; a schedule that can never inject anything collapses to None
-    so a disabled fault layer is a strict no-op.
+    horizon (the longest replayed trace); a schedule that can never
+    inject anything collapses to None so a disabled fault layer is a
+    strict no-op.
     """
     faults = settings.faults
     if faults is None:
         return None
     if isinstance(faults, FaultProfile):
-        horizon = settings.max_steps
-        if horizon is None:
-            horizon = max(
-                (len(t) for t in replay.trajectories if len(t) >= 2),
-                default=1,
-            )
-        faults = faults.build(
-            registry.server_ids, settings.seed, max(1, horizon)
-        )
+        horizon = settings.max_steps or max(map(len, usable), default=1)
+        faults = faults.build(registry.server_ids, settings.seed, horizon)
     return None if faults.is_noop else faults
 
 
-def train_default_predictor(
-    train: TrajectoryDataset, history: int, rng: np.random.Generator
-) -> PointPredictor:
-    """The paper's deployed predictor: linear SVR on recent coordinates."""
-    predictor = SVRPredictor(history=history, rng=rng)
-    predictor.fit(train)
-    return predictor
+@dataclass(eq=False)
+class _Run:
+    """One run's interval-loop state: built by :func:`_set_up`, moved on
+    by :meth:`begin_interval`, read and filled by the phase functions."""
+
+    settings: SimulationSettings
+    config: PerDNNConfig
+    telemetry: Telemetry
+    master: MasterServer
+    clients: list[MobileClient]
+    arrays: ClientArrays
+    fault_schedule: FaultSchedule | None
+    admission: AdmissionController | None
+    partitioners: list[DNNPartitioner]
+    # Plan-cache counters accumulate for the life of a partitioner; the
+    # reported stats are diffed against this per-run (hits, misses).
+    cache_baseline: tuple[int, int]
+    interval: float
+    # Steady-state query-window counts recur across clients and steps;
+    # one memo per run amortizes the serial integration.
+    count_memo: dict = field(default_factory=dict)
+    # The current interval: its index, the clients still replaying, the
+    # ones running on-device and the ones that (re-)associated.
+    step: int = 0
+    active: list[MobileClient] = field(default_factory=list)
+    local_this_step: set[int] = field(default_factory=set)
+    associated_this_step: set[int] = field(default_factory=set)
+
+    def __post_init__(self) -> None:
+        policy = self.settings.policy
+        self.metrics = self.telemetry.registry
+        self.faults_on = self.fault_schedule is not None
+        self.optimal = policy is MigrationPolicy.OPTIMAL
+        self.baseline = policy is MigrationPolicy.NONE
+        self.routing = policy is MigrationPolicy.ROUTING
+
+    def begin_interval(self, step: int) -> bool:
+        """Move to interval ``step``; False once every client finished."""
+        self.active = [c for c in self.clients if not c.finished]
+        if not self.active:
+            return False
+        self.step = step
+        self.local_this_step = set()
+        self.associated_this_step = set()
+        self.master.begin_interval()
+        if self.admission is not None:
+            self.admission.begin_interval(step)
+        return True
 
 
-def train_default_estimator(
-    partitioner: DNNPartitioner, rng: np.random.Generator
-) -> ContentionEstimator:
-    """Offline profiling campaign -> GPU-stats-to-slowdown estimator."""
-    samples = generate_contention_dataset(
-        partitioner.profile.graph,
-        partitioner.profile.server_device,
-        rng,
-        client_counts=(1, 2, 4, 8, 12, 16),
-        rounds_per_count=6,
+def _set_up(
+    dataset: TrajectoryDataset,
+    partitioner: DNNPartitioner | list[DNNPartitioner],
+    settings: SimulationSettings,
+    config: PerDNNConfig,
+    predictor: PointPredictor | None,
+    contention_estimator: ContentionEstimator | None,
+    telemetry: Telemetry,
+) -> _Run:
+    """Servers, models, master and clients of one run."""
+    metrics = telemetry.registry
+    rng = np.random.default_rng(settings.seed)
+    grid = HexGrid(config.cell_radius_m)
+    registry = EdgeServerRegistry.from_visited_points(grid, dataset.all_points())
+    pool = list(partitioner) if isinstance(partitioner, list) else [partitioner]
+    if not pool:
+        raise ValueError("at least one partitioner is required")
+    predictor, contention_estimator = train_default_models(
+        dataset, pool[0], settings, config, rng,
+        predictor, contention_estimator,
     )
-    return ContentionEstimator(rng=rng).fit(samples)
+    replay = dataset.replay_split(settings.replay_fraction).trajectories
+    usable = [t for t in replay if len(t) >= 2]
+    if len(pool) == 1:
+        master_partitioner = pool[0]
+    else:
+        master_partitioner = {
+            client_id: pool[client_id % len(pool)]
+            for client_id in range(len(usable))
+        }
+    fault_schedule = _resolve_fault_schedule(settings, registry, usable)
+    master = MasterServer(
+        registry=registry,
+        partitioner=master_partitioner,
+        config=config,
+        rng=rng,
+        predictor=predictor,
+        contention_estimator=contention_estimator,
+        policy=settings.policy,
+        traffic_meter=TrafficMeter(dataset.interval_seconds, metrics),
+        crowded_servers=settings.crowded_servers,
+        crowded_byte_budget=settings.crowded_byte_budget,
+        telemetry=telemetry,
+        fault_schedule=fault_schedule,
+    )
+    clients = [
+        MobileClient(i, trajectory, config.prediction_history)
+        for i, trajectory in enumerate(usable)
+    ]
+    metrics.gauge("sim.num_servers").set(registry.num_servers)
+    metrics.gauge("sim.num_clients").set(len(clients))
+    return _Run(
+        settings=settings,
+        config=config,
+        telemetry=telemetry,
+        master=master,
+        clients=clients,
+        arrays=ClientArrays.from_clients(clients),
+        fault_schedule=fault_schedule,
+        admission=(
+            None if settings.overload is None
+            else AdmissionController(settings.overload, metrics)
+        ),
+        partitioners=pool,
+        cache_baseline=(
+            sum(p.cache_hits for p in pool),
+            sum(p.cache_misses for p in pool),
+        ),
+        interval=dataset.interval_seconds,
+    )
+
+
+def _fault_phase(run: _Run) -> None:
+    """Phase 0: fault transitions, then periodic model updates.
+
+    Restarts come back cold; crashes lose their caches and orphan their
+    clients (re-associated next phase).  Model updates mean new weights
+    and stale caches.
+    """
+    step, active, telemetry = run.step, run.active, run.telemetry
+    if run.faults_on:
+        fault_schedule = run.fault_schedule
+        for server_id in fault_schedule.restarts(step):
+            record_fault(
+                telemetry, step, "server_restart", server_id=server_id
+            )
+        crashed_now = fault_schedule.crash_starts(step)
+        for server_id in crashed_now:
+            record_fault(
+                telemetry, step, "server_crash", server_id=server_id
+            )
+            run.master.crash_server(server_id)
+        if crashed_now:
+            crashed_set = set(crashed_now)
+            for client in active:
+                if client.current_server in crashed_set:
+                    client.current_server = None
+    update_every = run.settings.model_update_every
+    if update_every is not None and step > 0 and step % update_every == 0:
+        for client in active:
+            client.update_model()
+            run.metrics.counter("sim.model_updates").inc()
+
+
+def _association_phase(run: _Run) -> None:
+    """Phase 1: movement and (re-)association.
+
+    Advancing every client first (no client observes another's move)
+    lets one struct-of-arrays pass propose every association; the loop
+    applies them in client order, filling ``run.associated_this_step``
+    and, with clients left without a live server, ``run.local_this_step``.
+    """
+    step, active, master = run.step, run.active, run.master
+    metrics, telemetry = run.metrics, run.telemetry
+    registry = master.registry
+    faults_on, fault_schedule = run.faults_on, run.fault_schedule
+    overload_cfg = run.settings.overload
+    overload_on = overload_cfg is not None
+    routing, baseline = run.routing, run.baseline
+    local_this_step = run.local_this_step
+    associated_this_step = run.associated_this_step
+    arrays = run.arrays
+    positions = [client.advance() for client in active]
+    ids = arrays.refresh(active, positions)
+    proposals = propose_associations(
+        registry,
+        arrays.positions[ids],
+        arrays.current_server[ids],
+        run.config.handover_hysteresis_m,
+    )
+    for index, client in enumerate(active):
+        position = positions[index]
+        assert position is not None
+        if routing and client.current_server is not None:
+            # §3.A routing: stay on the first server; only the access
+            # cell changes as the user moves.
+            continue
+        proposed = int(proposals[index])
+        server_id = None if proposed < 0 else proposed
+        assert server_id is not None, "registry covers every trace point"
+        if faults_on and fault_schedule.server_down(server_id, step):
+            current = client.current_server
+            if current is not None and not fault_schedule.server_down(
+                current, step
+            ):
+                # The covering cell's server is dark but the old one
+                # still lives: hold it (out-of-coverage stickiness)
+                # rather than degrading to local execution.
+                server_id = current
+            else:
+                # With overload protection the master steers orphaned
+                # clients to the least-loaded reachable live server
+                # (the flash-crowd path); otherwise — or when nothing
+                # is in reach — this interval runs fully on-device
+                # (graceful degradation, never an error).
+                steered = (
+                    master.redirect_target(
+                        position, step, overload_cfg.redirect_radius_m,
+                        exclude=(server_id,),
+                    )
+                    if overload_on else None
+                )
+                if steered is None:
+                    if current is not None:
+                        master.server(current).dissociate(client.client_id)
+                        client.current_server = None
+                    local_this_step.add(client.client_id)
+                    continue
+                metrics.counter("overload.steered").inc()
+                server_id = steered
+        if server_id != client.current_server:
+            previous_server = client.current_server
+            if previous_server is not None:
+                old = master.server(previous_server)
+                old.dissociate(client.client_id)
+                if baseline:
+                    # IONN re-uploads from scratch after a server change.
+                    old.clear_client(client.client_id)
+                metrics.counter("sim.server_changes").inc()
+            master.server(server_id).associate(client.client_id)
+            client.current_server = server_id
+            associated_this_step.add(client.client_id)
+            metrics.counter("sim.associations").inc()
+            telemetry.trace.record(
+                AssociationEvent(
+                    interval=step,
+                    client_id=client.client_id,
+                    server_id=server_id,
+                    previous_server=previous_server,
+                )
+            )
+
+
+def _contention_phase(run: _Run) -> None:
+    """Phase 2: the GPUs of live servers advance under the new load, then
+    every server this interval plans for is pinged and its slowdown
+    predicted in one vectorized forest call, in the first-seen order the
+    lazy per-client path would use (the shared RNG sees the same draws).
+    """
+    step, master = run.step, run.master
+    faults_on, fault_schedule = run.faults_on, run.fault_schedule
+    for server in master.instantiated_servers:
+        if faults_on and fault_schedule.server_down(server.server_id, step):
+            continue
+        server.step_gpu()
+    # Overload runs keep the lazy per-client estimates: shedding and
+    # redirection decide per client whether a server is planned at all.
+    if master.contention_estimator is None or run.admission is not None:
+        return
+    local_this_step = run.local_this_step
+    seen_servers: set[int] = set()
+    planned_servers = []
+    for client in run.active:
+        server_id = client.current_server
+        if (
+            server_id is None
+            or client.client_id in local_this_step
+            or server_id in seen_servers
+        ):
+            continue
+        seen_servers.add(server_id)
+        planned_servers.append(master.server(server_id))
+    master.estimate_slowdowns(planned_servers)
 
 
 def _overload_gate(
@@ -329,62 +466,37 @@ def _overload_gate(
     return "shed", server, None
 
 
-def _query_windows(
-    active: list[MobileClient],
-    master: MasterServer,
-    metrics,
-    telemetry: Telemetry,
-    config: PerDNNConfig,
-    interval: float,
-    step: int,
-    optimal: bool,
-    faults_on: bool,
-    fault_schedule: FaultSchedule | None,
-    local_this_step: set[int],
-    associated_this_step: set[int],
-    count_memo: dict,
-    admission: AdmissionController | None,
-    routing: bool,
-) -> None:
+def _query_windows(run: _Run) -> None:
     """Phase 3: one query window per active client, in one pass.
 
     A window runs on the device (at the partitioner's all-local latency)
-    when no live server was reachable or when overload protection
-    (``admission``) shed it; otherwise the client's server serves it, or
-    a redirect target does, under the full plan or a degraded one.  With
-    ``routing`` the client stays on its first server and each query's
-    tensors are relayed over the backhaul (§3.A): the relay adds latency
-    and is metered as backhaul traffic.
+    when no live server was reachable or ``run.admission`` shed it;
+    otherwise the client's server, or a redirect target, serves it under
+    the full plan or a degraded one.  Under ``run.routing`` each query's
+    tensors are relayed over the backhaul (§3.A), which adds latency and
+    is metered as backhaul traffic.
 
-    Clients are walked in order.  Order-*sensitive* steps stay inline in
-    that walk: the breaker gate, admission and redirect probe (which
-    instantiates servers), lazy slowdown estimates (shared RNG draws),
-    every trace event, upload backoff, routed backhaul transfers, server
-    cache updates, and the ``query.latency_seconds`` and
-    ``overload.queue_wait_seconds`` histograms (float sums).  Everything
-    else is batched:
-
-    * one partitioning plan per distinct ``(server, partitioner)`` pair
-      instead of one ``partition()`` call per window, with the
-      partitioner's plan-cache hit counter compensated so the per-run
-      cache stats keep the one-call-per-window semantics (degraded plans
-      are derived per window);
-    * order-free int counters (windows, completed queries, per-model and
-      per-outcome tallies, cold-start verdicts, plan calls) accumulated
-      locally and incremented once per interval;
-    * steady windows (nothing left to upload, or uploads gated off)
-      resolved via the shared memoized count recurrence without calling
-      :func:`run_query_window` (the routing overhead offsets the
-      latency, the queue wait the first start); windows with upload
-      progress fall through to its exact integrator, which emits its own
-      telemetry in place.  Consecutive steady windows observing the same
-      latency collapse into one ``observe_repeated`` call without moving
-      a bit.
-
-    ``tests/oracles/reference_paths.py`` keeps the one-client-at-a-time
-    loop this pass replaced; the equivalence suites pin the two byte for
-    byte.
+    Clients are walked in order, and every order-sensitive step (breaker
+    gate, admission and redirect probes, lazy slowdown estimates, trace
+    events, upload backoff, routed transfers, server cache updates, the
+    latency and queue-wait histograms) stays inline in that walk.  The
+    rest is batched: one plan per ``(server, partitioner)`` pair, with
+    the plan cache's hit counter compensated to one call per window;
+    order-free int counters, incremented once per interval; and steady
+    windows, counted by the memoized recurrence instead of
+    :func:`run_query_window`, consecutive equal latencies collapsing
+    into one ``observe_repeated``.  ``tests/oracles/reference_paths.py``
+    keeps the one-client-at-a-time loop; the equivalence suites pin the
+    two byte for byte.  The loop is the hot path: it reads ``run``
+    through locals.
     """
+    active, master, metrics = run.active, run.master, run.metrics
+    telemetry, config, interval = run.telemetry, run.config, run.interval
+    step, optimal, routing = run.step, run.optimal, run.routing
+    faults_on, fault_schedule = run.faults_on, run.fault_schedule
+    local_this_step = run.local_this_step
+    associated_this_step = run.associated_this_step
+    count_memo, admission = run.count_memo, run.admission
     trace = telemetry.trace
     events_on = not isinstance(trace, NullEventTrace)
     query_gap = config.query_gap_seconds
@@ -693,6 +805,17 @@ def _query_windows(
         metrics.counter("sim.coldstart_queries").inc(coldstart_queries)
 
 
+def _migration_phase(run: _Run) -> None:
+    """Phase 4: close the interval — publish the admission gauges, migrate
+    proactively (PerDNN: one batched prediction for every client,
+    transfers replayed in client order), then evict expired caches."""
+    if run.admission is not None:
+        run.admission.export_gauges()
+    if run.settings.policy is MigrationPolicy.PERDNN:
+        run.master.proactive_migrate_batch(run.active, run.step)
+    run.master.expire_caches(run.step)
+
+
 def run_large_scale(
     dataset: TrajectoryDataset,
     partitioner: DNNPartitioner | list[DNNPartitioner],
@@ -717,268 +840,33 @@ def run_large_scale(
     """
     config = config or PerDNNConfig(migration_radius_m=settings.migration_radius_m)
     telemetry = telemetry or Telemetry.create()
-    metrics = telemetry.registry
-    rng = np.random.default_rng(settings.seed)
-    grid = HexGrid(config.cell_radius_m)
-    registry = EdgeServerRegistry.from_visited_points(grid, dataset.all_points())
-    if settings.policy is MigrationPolicy.PERDNN and predictor is None:
-        train, replay = dataset.split_time(settings.replay_fraction)
-        predictor = train_default_predictor(train, config.prediction_history, rng)
-    else:
-        # Pre-trained predictor (or a policy that never predicts): only
-        # the replay half is ever read, so skip building the train half —
-        # at shard fan-out that is half the split cost per shard.
-        replay = dataset.replay_split(settings.replay_fraction)
-    partitioner_pool = (
-        list(partitioner) if isinstance(partitioner, list) else [partitioner]
+    run = _set_up(
+        dataset, partitioner, settings, config, predictor,
+        contention_estimator, telemetry,
     )
-    if not partitioner_pool:
-        raise ValueError("at least one partitioner is required")
-    if contention_estimator is None and settings.use_contention_estimator:
-        contention_estimator = train_default_estimator(partitioner_pool[0], rng)
-    num_replay_clients = sum(
-        1 for trajectory in replay.trajectories if len(trajectory) >= 2
-    )
-    if len(partitioner_pool) == 1:
-        master_partitioner = partitioner_pool[0]
-    else:
-        master_partitioner = {
-            client_id: partitioner_pool[client_id % len(partitioner_pool)]
-            for client_id in range(num_replay_clients)
-        }
-    # Plan-cache counters accumulate for the life of a partitioner; diff
-    # against this baseline so the reported stats are per-run.
-    cache_baseline = [
-        (p.cache_hits, p.cache_misses) for p in partitioner_pool
-    ]
-    fault_schedule = _resolve_fault_schedule(settings, registry, replay)
-    faults_on = fault_schedule is not None
-    overload_cfg = settings.overload
-    overload_on = overload_cfg is not None
-    admission = (
-        AdmissionController(overload_cfg, metrics) if overload_on else None
-    )
-    meter = TrafficMeter(dataset.interval_seconds, telemetry=metrics)
-    master = MasterServer(
-        registry=registry,
-        partitioner=master_partitioner,
-        config=config,
-        rng=rng,
-        predictor=predictor,
-        contention_estimator=contention_estimator,
-        policy=settings.policy,
-        traffic_meter=meter,
-        crowded_servers=settings.crowded_servers,
-        crowded_byte_budget=settings.crowded_byte_budget,
-        telemetry=telemetry,
-        fault_schedule=fault_schedule,
-    )
-    usable = [t for t in replay.trajectories if len(t) >= 2]
-    clients = [
-        MobileClient(i, trajectory, config.prediction_history)
-        for i, trajectory in enumerate(usable)
-    ]
-    arrays = ClientArrays.from_clients(clients)
-    # Steady-state query-window counts recur across clients and steps;
-    # one memo per run amortizes the serial integration.
-    count_memo: dict = {}
-    model_names = sorted({p.graph.name for p in partitioner_pool})
-    result = LargeScaleResult(
+    step = 0
+    while settings.max_steps is None or step < settings.max_steps:
+        if not run.begin_interval(step):
+            break
+        _fault_phase(run)
+        _association_phase(run)
+        _contention_phase(run)
+        _query_windows(run)
+        _migration_phase(run)
+        step += 1
+    telemetry.registry.gauge("sim.steps").set(step)
+    meter = run.master.traffic_meter
+    pool = run.partitioners
+    hits, misses = run.cache_baseline
+    return assemble_result(
+        telemetry,
+        sum(p.cache_hits for p in pool) - hits,
+        sum(p.cache_misses for p in pool) - misses,
         policy=settings.policy.value,
         dataset=dataset.name,
-        model="+".join(model_names),
-        num_servers=registry.num_servers,
-        num_clients=len(clients),
-        telemetry=telemetry,
+        model="+".join(sorted({p.graph.name for p in pool})),
+        num_servers=run.master.registry.num_servers,
+        num_clients=len(run.clients),
+        uplink=meter.uplink_summary(),
+        downlink=meter.downlink_summary(),
     )
-    metrics.gauge("sim.num_servers").set(registry.num_servers)
-    metrics.gauge("sim.num_clients").set(len(clients))
-    interval = dataset.interval_seconds
-    optimal = settings.policy is MigrationPolicy.OPTIMAL
-    baseline = settings.policy is MigrationPolicy.NONE
-    routing = settings.policy is MigrationPolicy.ROUTING
-    step = 0
-    while True:
-        if settings.max_steps is not None and step >= settings.max_steps:
-            break
-        active = [c for c in clients if not c.finished]
-        if not active:
-            break
-        master.begin_interval()
-        if overload_on:
-            admission.begin_interval(step)
-        # 0a. Fault transitions: restarts come back cold; crashes lose
-        # their caches and orphan their clients (re-associated below).
-        local_this_step: set[int] = set()
-        if faults_on:
-            for server_id in fault_schedule.restarts(step):
-                record_fault(
-                    telemetry, step, "server_restart", server_id=server_id
-                )
-            crashed_now = fault_schedule.crash_starts(step)
-            for server_id in crashed_now:
-                record_fault(
-                    telemetry, step, "server_crash", server_id=server_id
-                )
-                master.crash_server(server_id)
-            if crashed_now:
-                crashed_set = set(crashed_now)
-                for client in active:
-                    if client.current_server in crashed_set:
-                        client.current_server = None
-        # 0b. Periodic model retraining: new weights, stale caches.
-        if (
-            settings.model_update_every is not None
-            and step > 0
-            and step % settings.model_update_every == 0
-        ):
-            for client in active:
-                client.update_model()
-                metrics.counter("sim.model_updates").inc()
-        # 1. Movement and (re-)association.  Advancing first (no client
-        # observes another's move) lets one struct-of-arrays pass propose
-        # every client's next association; the loop below applies them.
-        associated_this_step: set[int] = set()
-        positions = [client.advance() for client in active]
-        ids = arrays.refresh(active, positions)
-        proposals = propose_associations(
-            registry,
-            arrays.positions[ids],
-            arrays.current_server[ids],
-            config.handover_hysteresis_m,
-        )
-        for index, client in enumerate(active):
-            position = positions[index]
-            assert position is not None
-            if routing and client.current_server is not None:
-                # §3.A routing: stay on the first server; only the access
-                # cell changes as the user moves.
-                continue
-            proposed = int(proposals[index])
-            server_id = None if proposed < 0 else proposed
-            assert server_id is not None, "registry covers every trace point"
-            if faults_on and fault_schedule.server_down(server_id, step):
-                current = client.current_server
-                if current is not None and not fault_schedule.server_down(
-                    current, step
-                ):
-                    # The covering cell's server is dark but the old one
-                    # still lives: hold it (out-of-coverage stickiness)
-                    # rather than degrading to local execution.
-                    server_id = current
-                else:
-                    # With overload protection the master steers orphaned
-                    # clients to the least-loaded reachable live server
-                    # (the flash-crowd path); otherwise — or when nothing
-                    # is in reach — this interval runs fully on-device
-                    # (graceful degradation, never an error).
-                    steered = (
-                        master.redirect_target(
-                            position, step, overload_cfg.redirect_radius_m,
-                            exclude=(server_id,),
-                        )
-                        if overload_on else None
-                    )
-                    if steered is None:
-                        if current is not None:
-                            master.server(current).dissociate(client.client_id)
-                            client.current_server = None
-                        local_this_step.add(client.client_id)
-                        continue
-                    metrics.counter("overload.steered").inc()
-                    server_id = steered
-            if server_id != client.current_server:
-                previous_server = client.current_server
-                if previous_server is not None:
-                    old = master.server(previous_server)
-                    old.dissociate(client.client_id)
-                    if baseline:
-                        # IONN re-uploads from scratch after a server change.
-                        old.clear_client(client.client_id)
-                    metrics.counter("sim.server_changes").inc()
-                master.server(server_id).associate(client.client_id)
-                client.current_server = server_id
-                associated_this_step.add(client.client_id)
-                metrics.counter("sim.associations").inc()
-                telemetry.trace.record(
-                    AssociationEvent(
-                        interval=step,
-                        client_id=client.client_id,
-                        server_id=server_id,
-                        previous_server=previous_server,
-                    )
-                )
-        # 2. GPU contention advances under the new load (down servers
-        # are powered off; their GPUs do not run).
-        for server in master.instantiated_servers:
-            if faults_on and fault_schedule.server_down(
-                server.server_id, step
-            ):
-                continue
-            server.step_gpu()
-        # 2b. Batched interval planning: every server that will be planned
-        # for this interval is pinged and its slowdown predicted in one
-        # vectorized forest call, in the same first-seen order the lazy
-        # per-client path would use (the shared RNG sees identical draws,
-        # so same-seed output is byte-identical).  Overload runs keep the
-        # lazy path: shedding/redirection decides per client whether a
-        # server is planned at all.
-        if contention_estimator is not None and not overload_on:
-            seen_servers: set[int] = set()
-            planned_servers = []
-            for client in active:
-                server_id = client.current_server
-                if (
-                    server_id is None
-                    or client.client_id in local_this_step
-                    or server_id in seen_servers
-                ):
-                    continue
-                seen_servers.add(server_id)
-                planned_servers.append(master.server(server_id))
-            master.estimate_slowdowns(planned_servers)
-        # 3. Query loops — one pass over every client.
-        _query_windows(
-            active, master, metrics, telemetry, config, interval, step,
-            optimal, faults_on, fault_schedule, local_this_step,
-            associated_this_step, count_memo, admission, routing,
-        )
-        if overload_on:
-            admission.export_gauges()
-        # 4. Proactive migration (records its own telemetry): one batched
-        # prediction for every client, transfers replayed in client order.
-        if settings.policy is MigrationPolicy.PERDNN:
-            master.proactive_migrate_batch(active, step)
-        # 5. TTL eviction.
-        master.expire_caches(step)
-        step += 1
-    metrics.gauge("sim.steps").set(step)
-    # Emitted even without fault injection (reporting 1.0) so snapshot
-    # schemas match across fault and no-fault runs.
-    client_intervals = metrics.value("resilience.client_intervals")
-    local_intervals = metrics.value("resilience.local_intervals")
-    metrics.gauge("resilience.availability").set(
-        1.0 - local_intervals / client_intervals
-        if client_intervals else 1.0
-    )
-    result.fill_from_telemetry()
-    cache_hits = sum(
-        p.cache_hits - before_hits
-        for p, (before_hits, _) in zip(partitioner_pool, cache_baseline)
-    )
-    cache_misses = sum(
-        p.cache_misses - before_misses
-        for p, (_, before_misses) in zip(partitioner_pool, cache_baseline)
-    )
-    result.extras["partition_cache"] = {
-        "hits": cache_hits,
-        "misses": cache_misses,
-        "hit_ratio": (
-            cache_hits / (cache_hits + cache_misses)
-            if cache_hits + cache_misses
-            else 0.0
-        ),
-    }
-    result.uplink = meter.uplink_summary()
-    result.downlink = meter.downlink_summary()
-    return result

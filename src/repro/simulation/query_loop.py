@@ -208,20 +208,16 @@ def run_local_window(
     local_latency: float,
     duration: float,
     query_gap: float,
-    telemetry: MetricsRegistry | None = None,
-    record_fallback: bool = True,
     count_memo: dict | None = None,
 ) -> WindowOutcome:
     """Integrate one interval of queries executed fully on the client.
 
     The graceful-degradation path: when no live edge server is reachable
-    (crash, blackout), the client answers every query with the
-    partitioner's all-local plan at ``local_latency`` per query — slower,
-    but no query is ever dropped.  Counting rules match
-    :func:`run_query_window`; locally-served queries additionally bump the
-    ``query.local_fallback`` counter unless ``record_fallback`` is off
-    (overload shedding counts its windows separately — shedding is a
-    capacity decision, not lost availability).
+    (crash, blackout) or overload protection sheds the window, the client
+    answers every query with the partitioner's all-local plan at
+    ``local_latency`` per query — slower, but no query is ever dropped.
+    Counting rules match :func:`run_query_window`; the caller records the
+    window's telemetry.
     """
     if local_latency <= 0:
         raise ValueError("local_latency must be positive")
@@ -232,13 +228,4 @@ def run_local_window(
     count = _steady_query_count(
         0.0, local_latency, query_gap, duration, count_memo
     )
-    if telemetry is not None:
-        telemetry.counter("query.windows").inc()
-        if count:
-            telemetry.counter("query.completed").inc(count)
-            if record_fallback:
-                telemetry.counter("query.local_fallback").inc(count)
-            telemetry.histogram(
-                "query.latency_seconds", QUERY_LATENCY_BUCKETS
-            ).observe_repeated(local_latency, count)
     return WindowOutcome(count=count, end_bytes=0.0)

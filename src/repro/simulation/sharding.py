@@ -48,7 +48,7 @@ from repro.estimation.estimator import ContentionEstimator
 from repro.faults import FaultSchedule
 from repro.geo.hexgrid import HexGrid
 from repro.mobility.predictor import PointPredictor
-from repro.mobility.trajectory import TrajectoryDataset
+from repro.mobility.trajectory import TrajectoryDataset, replay_cut
 from repro.network.traffic import TrafficFold
 from repro.partitioning.partitioner import DNNPartitioner
 from repro.simulation.checkpoint import (
@@ -60,13 +60,9 @@ from repro.simulation.checkpoint import (
     run_fingerprint,
 )
 from repro.simulation.remote import RemoteExecutor
-from repro.simulation.large_scale import (
-    LargeScaleResult,
-    SimulationSettings,
-    run_large_scale,
-    train_default_estimator,
-    train_default_predictor,
-)
+from repro.simulation.large_scale import SimulationSettings, run_large_scale
+from repro.simulation.result import LargeScaleResult, assemble_result
+from repro.simulation.training import train_default_models
 from repro.simulation.supervisor import (
     LocalProcessExecutor,
     SupervisionReport,
@@ -108,13 +104,10 @@ class ShardPlan:
 def shard_seed(seed: int, shard_index: int) -> int:
     """Deterministic, worker-independent per-shard seed.
 
-    The *full* run seed feeds the :class:`~numpy.random.SeedSequence`:
-    seeds that differ only above bit 32 derive different per-shard seeds
-    (an earlier revision masked with ``0xFFFFFFFF`` and collided them).
-    For seeds below 2**32 the derivation is unchanged — SeedSequence
-    decomposes a small int into the same single entropy word — so
-    existing snapshots are unaffected; the regression suite pins both
-    properties.
+    The *full* run seed feeds the :class:`~numpy.random.SeedSequence`,
+    so seeds that differ only above bit 32 derive different per-shard
+    seeds, while a seed below 2**32 is the same single entropy word it
+    would be masked; the regression suite pins both properties.
     """
     sequence = np.random.SeedSequence([seed, shard_index])
     return int(sequence.generate_state(1, dtype=np.uint32)[0])
@@ -137,22 +130,17 @@ def plan_shards(
     """
     if shard_size < 1:
         raise ValueError("shard_size must be >= 1")
-    if not 0.0 < settings.replay_fraction < 1.0:
-        raise ValueError("test_fraction must be in (0, 1)")
     grid = HexGrid(config.cell_radius_m)
     n = len(dataset.trajectories)
     if n == 0:
         return []
-    # Only the replay tail decides usability and home cells, and only its
-    # first point and length are read — compute the split_time cut per
-    # trajectory instead of materializing copies of every replay half
-    # (which used to dominate the planner's footprint at 1M clients).
+    # Only the replay tail's length and first point matter: compute each
+    # trajectory's cut instead of copying every replay half.
     firsts = np.zeros((n, 2), dtype=float)
     usable = np.zeros(n, dtype=bool)
-    keep = 1.0 - settings.replay_fraction
     for i, trajectory in enumerate(dataset.trajectories):
         points = len(trajectory)
-        cut = max(1, min(points - 1, int(round(points * keep))))
+        cut = replay_cut(points, settings.replay_fraction)
         usable[i] = points - cut >= 2
         firsts[i] = trajectory.points[cut if points - cut > 0 else 0]
     cells = grid.cells_of(firsts)
@@ -309,9 +297,7 @@ def _merge_records(
     effects.  With a checkpoint store behind the iterable, no two shard
     records ever co-reside in memory — for *any* of the telemetry
     (registries, events, traffic): merge peak memory is the merged
-    footprint plus a single shard, independent of shard count.  Every
-    fold is permutation-invariant, so the merged bytes match the old
-    materialized merge exactly.
+    footprint plus a single shard, independent of shard count.
     """
     trace = EventTrace()
     uplink_fold = TrafficFold()
@@ -339,43 +325,26 @@ def _merge_records(
             downlink_fold.add(record.downlink, server_offset)
             yield _rebase_registry(record.registry, server_offset)
 
-    merged_registry = merge_registries(rebased_registries(), GAUGE_MERGE_RULES)
-    # Availability is a ratio, not a sum — recompute from merged counters
-    # (matches what run_large_scale would emit over the union workload).
-    client_intervals = merged_registry.value("resilience.client_intervals")
-    local_intervals = merged_registry.value("resilience.local_intervals")
-    merged_registry.gauge("resilience.availability").set(
-        1.0 - local_intervals / client_intervals if client_intervals else 1.0
-    )
-    telemetry = Telemetry(registry=merged_registry, trace=trace)
-    merged = LargeScaleResult(
+    # The fold drains ``records``; the totals are complete after it.
+    registry = merge_registries(rebased_registries(), GAUGE_MERGE_RULES)
+    merged = assemble_result(
+        Telemetry(registry=registry, trace=trace),
+        totals["hits"],
+        totals["misses"],
         policy=settings.policy.value,
         dataset=dataset_name,
         model=model,
         num_servers=totals["servers"],
         num_clients=totals["clients"],
-        telemetry=telemetry,
+        uplink=uplink_fold.summary(),
+        downlink=downlink_fold.summary(),
     )
-    merged.fill_from_telemetry()
-    cache_hits = totals["hits"]
-    cache_misses = totals["misses"]
-    merged.extras["partition_cache"] = {
-        "hits": cache_hits,
-        "misses": cache_misses,
-        "hit_ratio": (
-            cache_hits / (cache_hits + cache_misses)
-            if cache_hits + cache_misses
-            else 0.0
-        ),
-    }
     merged.extras["sharding"] = {
         "shards": totals["shards"],
         "shard_size": shard_size,
         "workers": workers,
         "clients_per_shard": clients_per_shard,
     }
-    merged.uplink = uplink_fold.summary()
-    merged.downlink = downlink_fold.summary()
     return merged
 
 
@@ -408,10 +377,12 @@ def run_large_scale_sharded(
 
     Drop-in sibling of :func:`run_large_scale` for populations far past
     what one interval loop can replay.  The predictor and contention
-    estimator are trained once here (same rng order as the unsharded
-    entry point), pickled into one blob, and broadcast to every shard
-    worker; the partitioner is likewise pickled once so each shard starts
-    from an identical plan cache regardless of which worker runs it.
+    estimator are trained once here, through the same
+    :func:`~repro.simulation.training.train_default_models` seam as the
+    unsharded entry point, pickled into one blob, and broadcast to every
+    shard worker; the partitioner is likewise pickled once so each shard
+    starts from an identical plan cache regardless of which worker runs
+    it.
     With a contention estimator, that template is a copy of the caller's
     partitioner(s) warmed over every slowdown key up to
     :meth:`~repro.estimation.estimator.ContentionEstimator.max_slowdown`,
@@ -528,36 +499,29 @@ def run_large_scale_sharded(
         migration_radius_m=settings.migration_radius_m
     )
     model_names = sorted({p.graph.name for p in pool})
-    # Mirror run_large_scale's training order so both entry points derive
-    # identical models from the same seed.  The cache keys on everything
-    # training consumes, and only engages when the default models would
-    # be trained right here (caller-supplied models bypass it).
-    rng = np.random.default_rng(settings.seed)
-    train, _ = dataset.split_time(settings.replay_fraction)
-    needs_predictor = (
-        settings.policy is MigrationPolicy.PERDNN and predictor is None
-    )
-    needs_estimator = (
-        contention_estimator is None and settings.use_contention_estimator
-    )
+    # The model cache keys on everything training consumes, and only
+    # engages when the default models would be trained right here
+    # (caller-supplied models bypass it).
     models_blob: bytes | None = None
     cache_key: str | None = None
     if (
         model_cache is not None
         and predictor is None
         and contention_estimator is None
-        and (needs_predictor or needs_estimator)
+        and (
+            settings.policy is MigrationPolicy.PERDNN
+            or settings.use_contention_estimator
+        )
     ):
         cache_key = model_fingerprint(dataset, settings, config, model_names)
         models_blob = model_cache.load(cache_key)
         if models_blob is not None:
             predictor, contention_estimator = pickle.loads(models_blob)
-    if settings.policy is MigrationPolicy.PERDNN and predictor is None:
-        predictor = train_default_predictor(
-            train, config.prediction_history, rng
-        )
-    if contention_estimator is None and settings.use_contention_estimator:
-        contention_estimator = train_default_estimator(pool[0], rng)
+    predictor, contention_estimator = train_default_models(
+        dataset, pool[0], settings, config,
+        np.random.default_rng(settings.seed),
+        predictor, contention_estimator,
+    )
     if models_blob is None:
         models_blob = pickle.dumps((predictor, contention_estimator))
         if model_cache is not None and cache_key is not None:

@@ -38,16 +38,14 @@ import pytest
 
 from repro.core.association import decide_association
 from repro.core.client import MobileClient
-from repro.core.config import PerDNNConfig
 from repro.core.edge_server import EdgeServer
 from repro.core.master import MasterServer, MigrationPolicy, MigrationRecord
 from repro.core.routing import routed_tensors, routing_overhead_seconds
-from repro.faults import FaultSchedule, record_fault
+from repro.faults import record_fault
 from repro.geo.wifi import EdgeServerRegistry
 from repro.ml.forest import RandomForestRegressor
 from repro.ml.tree import RegressionTree
 from repro.overload import (
-    AdmissionController,
     SheddingPolicy,
     record_breaker_transition,
 )
@@ -61,7 +59,6 @@ from repro.telemetry import (
     FractionalTruncationEvent,
     MigrationEvent,
     QueryWindowEvent,
-    Telemetry,
 )
 from repro.telemetry.registry import MetricsRegistry
 
@@ -251,31 +248,22 @@ def plan_for(
     )
 
 
-def per_client_query_windows(
-    active: list[MobileClient],
-    master: MasterServer,
-    metrics,
-    telemetry: Telemetry,
-    config: PerDNNConfig,
-    interval: float,
-    step: int,
-    optimal: bool,
-    faults_on: bool,
-    fault_schedule: FaultSchedule | None,
-    local_this_step: set[int],
-    associated_this_step: set[int],
-    count_memo: dict,
-    admission: AdmissionController | None = None,
-    routing: bool = False,
-) -> None:
+def per_client_query_windows(run: large_scale._Run) -> None:
     """Phase 3 (query windows), one client at a time.
 
-    With ``admission`` the breaker, admission control and shedding
+    With ``run.admission`` the breaker, admission control and shedding
     policy decide per client whether (and where, and under which plan)
-    its window is served, and ``routing`` meters each client's relayed
+    its window is served, and ``run.routing`` meters each client's relayed
     tensors over the backhaul.  ``large_scale._query_windows`` batches
     this loop; the equivalence suites pin the two byte for byte.
     """
+    active, master, metrics = run.active, run.master, run.metrics
+    telemetry, config, interval = run.telemetry, run.config, run.interval
+    step, optimal, routing = run.step, run.optimal, run.routing
+    faults_on, fault_schedule = run.faults_on, run.fault_schedule
+    local_this_step = run.local_this_step
+    associated_this_step = run.associated_this_step
+    count_memo, admission = run.count_memo, run.admission
     overload_on = admission is not None
     overload_cfg = admission.config if overload_on else None
     registry = master.registry

@@ -115,3 +115,14 @@ class TestAccounting:
             use_contention_estimator=False,
         )
         assert result.total_queries > 0
+
+
+class TestReplayFraction:
+    @pytest.mark.parametrize("fraction", [0.0, 1.0, 1.5, -0.1])
+    def test_out_of_range_names_the_setting(self, fraction):
+        # 1.0 must fail here, naming the setting, not later inside the
+        # time split under that method's parameter name.
+        with pytest.raises(ValueError, match="replay_fraction"):
+            SimulationSettings(
+                policy=MigrationPolicy.NONE, replay_fraction=fraction
+            )

@@ -160,9 +160,9 @@ def test_patched_installs_and_restores(
     oracle = reference_paths.per_client_query_windows
     calls = []
 
-    def spy(*args):
-        calls.append(args[-2:])  # (admission, routing)
-        return oracle(*args)
+    def spy(run):
+        calls.append((run.admission, run.routing))
+        return oracle(run)
 
     monkeypatch.setattr(reference_paths, "per_client_query_windows", spy)
     originals = (

@@ -172,18 +172,14 @@ class TestFastSteadyState:
         assert metrics_csv(fast_metrics) == metrics_csv(slow_metrics)
 
     def test_local_window_matches_scalar(self):
-        for record_fallback in (True, False):
-            slow_metrics, fast_metrics = self._registries()
-            slow = reference_paths.run_local_window(
-                0.8, 30.0, 0.5, telemetry=slow_metrics,
-                record_fallback=record_fallback,
-            )
-            fast = run_local_window(
-                0.8, 30.0, 0.5, telemetry=fast_metrics,
-                record_fallback=record_fallback,
-            )
+        for latency, duration, gap in (
+            (0.8, 30.0, 0.5), (0.1, 30.0, 0.5), (0.3, 0.2, 0.5),
+            (0.25, 30.0, 0.0), (0.7, 0.7, 0.5),
+        ):
+            slow = reference_paths.run_local_window(latency, duration, gap)
+            fast = run_local_window(latency, duration, gap, count_memo={})
             assert fast.count == slow.count
-            assert metrics_csv(fast_metrics) == metrics_csv(slow_metrics)
+            assert fast.end_bytes == 0.0
 
     def test_memo_is_reused(self):
         schedule = make_schedule([], [1.0])

@@ -245,18 +245,44 @@ class TestModelBroadcast:
         assert len(cached_blobs) == 1
         # Prove the second run loads instead of training: training must
         # never be reached.
-        import repro.simulation.sharding as sharding
+        import repro.simulation.training as training
 
         def boom(*args, **kwargs):
             raise AssertionError("cache hit should skip training")
 
-        monkeypatch.setattr(sharding, "train_default_predictor", boom)
-        monkeypatch.setattr(sharding, "train_default_estimator", boom)
+        monkeypatch.setattr(training, "train_default_predictor", boom)
+        monkeypatch.setattr(training, "train_default_estimator", boom)
         cached = run_sharded(
             dataset, tiny_partitioner, settings,
             model_cache_dir=cache_dir,
         )
         assert trained.telemetry.dumps() == cached.telemetry.dumps()
+
+    def test_supplied_models_skip_the_time_split(
+        self, dataset, tiny_partitioner, monkeypatch
+    ):
+        # Caller-supplied models leave nothing to train, so the driver
+        # must not cut the population into train and replay halves.
+        from repro.mobility.trajectory import TrajectoryDataset
+        from repro.simulation.training import train_default_models
+
+        settings = make_settings()
+        trained = run_sharded(dataset, tiny_partitioner, settings)
+        predictor, estimator = train_default_models(
+            dataset, tiny_partitioner, settings,
+            PerDNNConfig(migration_radius_m=settings.migration_radius_m),
+            np.random.default_rng(settings.seed),
+        )
+
+        def boom(*args, **kwargs):
+            raise AssertionError("supplied models need no time split")
+
+        monkeypatch.setattr(TrajectoryDataset, "split_time", boom)
+        supplied = run_sharded(
+            dataset, tiny_partitioner, settings,
+            predictor=predictor, contention_estimator=estimator,
+        )
+        assert supplied.telemetry.dumps() == trained.telemetry.dumps()
 
     def test_model_cache_keys_on_seed(
         self, dataset, tiny_partitioner, tmp_path
