@@ -1,9 +1,9 @@
 """CI smoke for the 100k-scale sharded path, at the quick shape.
 
-Runs the same workload shape as ``repro bench``'s
-``large_scale_sharded_100k`` quick mode (2000 clients, shard size 128,
-``record_events=False``) once per requested worker count and asserts the
-two guarantees the full-scale run depends on:
+Runs ``repro bench``'s ``large_scale_sharded_100k`` row at its quick
+shape (read from :data:`repro.bench.SCALE_SHAPES`) through
+:func:`repro.bench.measure_scale`, once per requested worker count, and
+asserts the guarantees the full-scale run depends on:
 
 - **Worker-count invariance**: every run exports byte-identical
   telemetry JSON (the sharded snapshot is a pure function of
@@ -33,20 +33,27 @@ Usage (what CI runs)::
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 REPO_SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 sys.path.insert(0, REPO_SRC)
 
-from repro.bench import _build_partitioner, _measure_in_child  # noqa: E402
+from repro.bench import (  # noqa: E402
+    SCALE_SHAPES,
+    _build_partitioner,
+    measure_scale,
+)
 from repro.core.config import PerDNNConfig  # noqa: E402
 from repro.core.master import MigrationPolicy  # noqa: E402
 from repro.simulation.large_scale import SimulationSettings  # noqa: E402
 from repro.simulation.sharding import run_large_scale_sharded  # noqa: E402
+from repro.simulation.training import train_default_models  # noqa: E402
 from repro.trajectories.synthetic import kaist_like  # noqa: E402
 
-USERS, DATASET_STEPS, MAX_STEPS, SHARD_SIZE = 2000, 12, 3, 128
+CASE = "large_scale_sharded_100k"
+USERS, DATASET_STEPS, MAX_STEPS, SHARD_SIZE = SCALE_SHAPES[CASE].quick
 
 #: Populations for the spill-vs-in-memory driver-RSS comparison.  The
 #: first (the quick-shape population) estimates each mode's
@@ -99,12 +106,6 @@ def _measure_driver_rss_mb(run) -> float | None:
 
 def check_spill_rss(seed: int, failures: list[str]) -> None:
     """Assert dataset spill keeps the driver's RSS flat-ish and small."""
-    from repro.mobility.trajectory import TrajectoryDataset
-    from repro.simulation.large_scale import (
-        train_default_estimator,
-        train_default_predictor,
-    )
-
     config = PerDNNConfig(migration_radius_m=100.0)
     settings = SimulationSettings(
         policy=MigrationPolicy.PERDNN, max_steps=SPILL_MAX_STEPS, seed=seed
@@ -116,19 +117,10 @@ def check_spill_rss(seed: int, failures: list[str]) -> None:
         dataset = kaist_like(
             rng, num_users=users, duration_steps=DATASET_STEPS
         )
-        train, _ = dataset.split_time(settings.replay_fraction)
-        train_sub = TrajectoryDataset(
-            name=train.name,
-            interval_seconds=train.interval_seconds,
-            bbox=train.bbox,
-            trajectories=train.trajectories[:4000],
+        predictor, estimator = train_default_models(
+            replace(dataset, trajectories=dataset.trajectories[:4000]),
+            partitioner, settings, config, np.random.default_rng(seed),
         )
-        aux_rng = np.random.default_rng(seed)
-        predictor = train_default_predictor(
-            train_sub, config.prediction_history, aux_rng
-        )
-        estimator = train_default_estimator(partitioner, aux_rng)
-        del train, train_sub
         for spill in (False, True):
 
             def run(spill: bool = spill) -> None:
@@ -205,49 +197,25 @@ def main(argv: list[str] | None = None) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
     cache_dir = os.path.join(args.out_dir, "model-cache")
 
-    rng = np.random.default_rng(args.seed)
-    dataset = kaist_like(rng, num_users=USERS, duration_steps=DATASET_STEPS)
-    config = PerDNNConfig(migration_radius_m=100.0)
-    settings = SimulationSettings(
-        policy=MigrationPolicy.PERDNN, max_steps=MAX_STEPS, seed=args.seed
-    )
-
     snapshots: dict[int, str] = {}
     failures: list[str] = []
     for workers in args.workers:
-
-        def run(workers: int = workers) -> dict:
-            result = run_large_scale_sharded(
-                dataset,
-                _build_partitioner("mobilenet"),
-                settings,
-                config=config,
-                shard_size=SHARD_SIZE,
-                workers=workers,
-                record_events=False,
-                model_cache_dir=cache_dir,
-            )
-            return {
-                "telemetry": result.telemetry.dumps(),
-                "shards": result.extras["sharding"]["shards"],
-                "clients": result.num_clients,
-            }
-
-        measured = _measure_in_child(run)
-        payload = measured["payload"]
-        snapshots[workers] = payload["telemetry"]
         path = os.path.join(args.out_dir, f"smoke-w{workers}.telemetry.json")
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(payload["telemetry"])
+        entry = measure_scale(
+            CASE, quick=True, seed=args.seed, repeats=1, workers=workers,
+            model_cache_dir=cache_dir, snapshot=path,
+        )[CASE]
+        with open(path, encoding="utf-8") as handle:
+            snapshots[workers] = handle.read()
         print(
-            f"workers={workers}: {payload['clients']} clients / "
-            f"{payload['shards']} shards in {measured['seconds']:.1f}s, "
-            f"peak RSS {measured['peak_rss_mb']:.0f} MB "
+            f"workers={workers}: {entry['clients']} clients / "
+            f"{entry['shards']} shards in {entry['seconds_min']:.1f}s, "
+            f"peak RSS {entry['peak_rss_mb']:.0f} MB "
             f"(ceiling {args.rss_ceiling_mb:.0f} MB)"
         )
-        if measured["peak_rss_mb"] > args.rss_ceiling_mb:
+        if entry["peak_rss_mb"] > args.rss_ceiling_mb:
             failures.append(
-                f"workers={workers} peak RSS {measured['peak_rss_mb']:.0f} MB "
+                f"workers={workers} peak RSS {entry['peak_rss_mb']:.0f} MB "
                 f"exceeds ceiling {args.rss_ceiling_mb:.0f} MB"
             )
 
