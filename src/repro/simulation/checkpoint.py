@@ -2,11 +2,12 @@
 
 Each completed shard is written to the checkpoint directory as one
 deterministic JSON document (``shard-00042.json``) the moment the
-supervisor delivers it, via an atomic temp-file + rename so a crash or
-Ctrl-C can never leave a half-written shard behind.  A ``MANIFEST.json``
-pins the run's **settings fingerprint** — a digest over the dataset's
-actual trajectory bytes, the simulation settings, the decomposition, the
-model pool and the event-trace setting — so resuming against a checkpoint produced by any
+supervisor delivers it, through :class:`ArtifactStore`'s fsynced
+temp-file + rename so a crash or Ctrl-C can never leave a half-written
+shard behind.  A ``MANIFEST.json`` pins the run's **settings
+fingerprint** — a digest over the dataset's actual trajectory bytes, the
+simulation settings, the decomposition, the model pool and the
+event-trace setting — so resuming against a checkpoint produced by any
 different run fails fast instead of silently merging incompatible shards.
 
 The spill doubles as the streaming telemetry export ROADMAP item 1(c)
@@ -21,6 +22,7 @@ suite pins this.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -42,6 +44,14 @@ MODELS_SCHEMA = "perdnn-models/1"
 MANIFEST_NAME = "MANIFEST.json"
 
 
+def _hash_trajectories(hasher, dataset: TrajectoryDataset) -> None:
+    """Feed every trajectory's point count and float64 bytes to ``hasher``."""
+    for trajectory in dataset.trajectories:
+        points = np.ascontiguousarray(trajectory.points, dtype=np.float64)
+        hasher.update(str(points.shape[0]).encode())
+        hasher.update(points.tobytes())
+
+
 def run_fingerprint(
     dataset: TrajectoryDataset,
     settings,
@@ -60,10 +70,7 @@ def run_fingerprint(
     """
     hasher = hashlib.sha256()
     hasher.update(CHECKPOINT_SCHEMA.encode())
-    for trajectory in dataset.trajectories:
-        points = np.ascontiguousarray(trajectory.points, dtype=np.float64)
-        hasher.update(str(points.shape[0]).encode())
-        hasher.update(points.tobytes())
+    _hash_trajectories(hasher, dataset)
     faults = settings.faults
     payload = {
         "dataset": {
@@ -119,10 +126,7 @@ def model_fingerprint(
     """
     hasher = hashlib.sha256()
     hasher.update(MODELS_SCHEMA.encode())
-    for trajectory in dataset.trajectories:
-        points = np.ascontiguousarray(trajectory.points, dtype=np.float64)
-        hasher.update(str(points.shape[0]).encode())
-        hasher.update(points.tobytes())
+    _hash_trajectories(hasher, dataset)
     payload = {
         "interval_seconds": dataset.interval_seconds,
         "replay_fraction": settings.replay_fraction,
@@ -136,26 +140,28 @@ def model_fingerprint(
     return hasher.hexdigest()
 
 
-class ModelCache:
-    """On-disk cache of the trained (predictor, estimator) pickle blob.
+class ArtifactStore:
+    """One directory of named byte blobs: the only code that probes,
+    writes or removes the sharded driver's artifact files.
 
-    Keyed by :func:`model_fingerprint`, so a repeat run over the same
-    dataset/seed skips the dominant fixed cost of city-scale setup —
-    random-forest contention profiling plus SVR mobility training — and
-    broadcasts the cached bytes to shard workers instead.  Pickle
-    round-trips every float bit-exactly and the parent consumes no RNG
-    after training, so a cache hit leaves the merged telemetry
-    byte-identical to a freshly-trained run (pinned by the model-cache
-    test suite).  Writes are atomic (temp file + rename); unreadable or
-    mismatched entries are treated as misses and overwritten.
+    Writes are atomic and durable — a temp file is flushed and fsynced
+    before it is renamed into place — so a crash or Ctrl-C can never
+    leave a half-written artifact under its real name.  The trained
+    model cache (``models-<fingerprint>.pkl``, keyed by
+    :func:`model_fingerprint`) uses this class directly; the dataset
+    spill and the checkpoint add their file formats on top of it.
     """
 
     def __init__(self, directory: str | os.PathLike):
         self.directory = os.fspath(directory)
 
+    def path(self, name: str) -> str:
+        return os.path.join(self.directory, name)
+
     def prepare(self) -> None:
-        """Create the directory and prove it is writable."""
-        probe = os.path.join(self.directory, ".write-probe")
+        """Create the directory and prove it is writable (callers run
+        this before training, so a bad directory fails in milliseconds)."""
+        probe = self.path(".write-probe")
         try:
             os.makedirs(self.directory, exist_ok=True)
             with open(probe, "w", encoding="utf-8") as handle:
@@ -163,31 +169,45 @@ class ModelCache:
             os.remove(probe)
         except OSError as exc:
             raise ValueError(
-                f"model cache directory {self.directory!r} is not "
+                f"artifact directory {self.directory!r} is not "
                 f"writable: {exc}"
             ) from exc
 
-    def path(self, fingerprint: str) -> str:
-        return os.path.join(self.directory, f"models-{fingerprint}.pkl")
+    def put(self, name: str, data: bytes) -> str:
+        """Durably and atomically write ``data`` as ``name``; its path."""
+        path = self.path(name)
+        temp = f"{path}.tmp"
+        with open(temp, "wb") as handle:
+            handle.write(data)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(temp, path)
+        return path
 
-    def load(self, fingerprint: str) -> bytes | None:
-        """The cached blob for ``fingerprint``, or None on a miss."""
+    def get(self, name: str) -> bytes | None:
+        """The bytes stored as ``name``; None if missing or unreadable."""
         try:
-            with open(self.path(fingerprint), "rb") as handle:
+            with open(self.path(name), "rb") as handle:
                 return handle.read()
         except OSError:
             return None
 
-    def store(self, fingerprint: str, blob: bytes) -> str:
-        path = self.path(fingerprint)
-        temp = f"{path}.tmp"
-        with open(temp, "wb") as handle:
-            handle.write(blob)
-        os.replace(temp, path)
-        return path
+    def cleanup(self, prefix: str) -> None:
+        """Best-effort removal of the files named ``prefix*``, then of the
+        directory if that left it empty."""
+        try:
+            names = os.listdir(self.directory)
+        except OSError:
+            return
+        for name in names:
+            if name.startswith(prefix):
+                with contextlib.suppress(OSError):
+                    os.remove(self.path(name))
+        with contextlib.suppress(OSError):
+            os.rmdir(self.directory)
 
 
-class ShardDatasetStore:
+class ShardDatasetStore(ArtifactStore):
     """On-disk spill of per-shard trajectory subsets.
 
     The sharded driver normally slices the full
@@ -195,69 +215,29 @@ class ShardDatasetStore:
     sub-dataset per shard and keeps every slice alive in the job list
     until its worker finishes — which pins the whole population in the
     parent for the duration of the run.  Spilling writes each shard's
-    subset to ``dataset-00042.pkl`` once at plan time (atomic temp file +
-    rename, same discipline as :class:`CheckpointStore`) and hands the
-    job only the *path*; the worker loads its own file and the parent can
+    subset to ``dataset-00042.pkl`` once at plan time and hands the job
+    only the *path*; the worker loads its own file and the parent can
     drop the population entirely.  Pickle round-trips the float64
     trajectory arrays bit-exactly, so a spilled run is byte-identical to
     an in-memory one (pinned by the equivalence suite).
 
     The files are scratch, not checkpoints: every invocation re-spills
-    the shards it is about to run, so :meth:`cleanup` removes them as
-    soon as the supervisor returns.
+    the shards it is about to run and removes them with
+    ``cleanup("dataset-")`` when the run ends, however it ends.
     """
 
-    def __init__(self, directory: str | os.PathLike):
-        self.directory = os.fspath(directory)
-
-    def prepare(self) -> None:
-        """Create the directory and prove it is writable."""
-        probe = os.path.join(self.directory, ".write-probe")
-        try:
-            os.makedirs(self.directory, exist_ok=True)
-            with open(probe, "w", encoding="utf-8") as handle:
-                handle.write("ok")
-            os.remove(probe)
-        except OSError as exc:
-            raise ValueError(
-                f"dataset spill directory {self.directory!r} is not "
-                f"writable: {exc}"
-            ) from exc
-
-    def path(self, index: int) -> str:
-        return os.path.join(self.directory, f"dataset-{index:05d}.pkl")
-
     def store(self, index: int, dataset: TrajectoryDataset) -> str:
-        """Atomically spill one shard's sub-dataset; returns its path."""
-        path = self.path(index)
-        temp = f"{path}.tmp"
-        with open(temp, "wb") as handle:
-            pickle.dump(dataset, handle, protocol=pickle.HIGHEST_PROTOCOL)
-        os.replace(temp, path)
-        return path
+        """Spill one shard's sub-dataset; returns its path."""
+        return self.put(
+            f"dataset-{index:05d}.pkl",
+            pickle.dumps(dataset, protocol=pickle.HIGHEST_PROTOCOL),
+        )
 
     @staticmethod
     def read(path: str) -> TrajectoryDataset:
         """Load a spilled sub-dataset (worker side)."""
         with open(path, "rb") as handle:
             return pickle.load(handle)
-
-    def cleanup(self) -> None:
-        """Best-effort removal of every spilled file and the directory."""
-        try:
-            names = os.listdir(self.directory)
-        except OSError:
-            return
-        for name in names:
-            if name.startswith("dataset-"):
-                try:
-                    os.remove(os.path.join(self.directory, name))
-                except OSError:
-                    pass
-        try:
-            os.rmdir(self.directory)
-        except OSError:
-            pass
 
 
 def _summary_to_doc(summary: TrafficSummary) -> dict:
@@ -371,100 +351,56 @@ class ShardRecord:
         )
 
 
-class CheckpointStore:
+class CheckpointStore(ArtifactStore):
     """One checkpoint directory: manifest + per-shard snapshot files."""
 
-    def __init__(self, directory: str | os.PathLike):
-        self.directory = os.fspath(directory)
-
-    # ------------------------------------------------------------------
-    # Validation / lifecycle
-    # ------------------------------------------------------------------
-    def prepare(self) -> None:
-        """Create the directory and prove it is writable.
-
-        Called before any expensive work (predictor/estimator training)
-        so a bad ``--checkpoint-dir`` fails in milliseconds.
-        """
-        probe = os.path.join(self.directory, ".write-probe")
-        try:
-            os.makedirs(self.directory, exist_ok=True)
-            with open(probe, "w", encoding="utf-8") as handle:
-                handle.write("ok")
-            os.remove(probe)
-        except OSError as exc:
-            raise ValueError(
-                f"checkpoint directory {self.directory!r} is not "
-                f"writable: {exc}"
-            ) from exc
-
-    def manifest_path(self) -> str:
-        return os.path.join(self.directory, MANIFEST_NAME)
-
     def has_manifest(self) -> bool:
-        return os.path.exists(self.manifest_path())
+        return os.path.exists(self.path(MANIFEST_NAME))
 
     def write_manifest(
         self, fingerprint: str, num_shards: int, shard_size: int,
         record_events: bool,
     ) -> None:
-        doc = {
+        self._write_doc(MANIFEST_NAME, {
             "schema": CHECKPOINT_SCHEMA,
             "fingerprint": fingerprint,
             "num_shards": num_shards,
             "shard_size": shard_size,
             "record_events": bool(record_events),
-        }
-        self._write_json(self.manifest_path(), doc)
+        })
 
-    def read_manifest(self) -> dict:
-        path = self.manifest_path()
+    def check_fingerprint(self, fingerprint: str) -> None:
+        """Load the manifest and reject a missing, foreign or stale one."""
         try:
-            with open(path, encoding="utf-8") as handle:
-                doc = json.load(handle)
+            manifest = self._read_doc(MANIFEST_NAME, "checkpoint manifest")
         except FileNotFoundError:
             raise ValueError(
-                f"no checkpoint manifest at {path!r}; nothing to resume"
+                f"no checkpoint manifest at {self.path(MANIFEST_NAME)!r}; "
+                "nothing to resume"
             ) from None
-        except (OSError, json.JSONDecodeError) as exc:
+        if manifest.get("schema") != CHECKPOINT_SCHEMA:
             raise ValueError(
-                f"unreadable checkpoint manifest at {path!r}: {exc}"
-            ) from exc
-        if doc.get("schema") != CHECKPOINT_SCHEMA:
-            raise ValueError(
-                f"not a checkpoint manifest (schema={doc.get('schema')!r})"
+                "not a checkpoint manifest "
+                f"(schema={manifest.get('schema')!r})"
             )
-        return doc
-
-    def check_fingerprint(self, fingerprint: str) -> dict:
-        """Load the manifest and reject a stale checkpoint."""
-        manifest = self.read_manifest()
         if manifest.get("fingerprint") != fingerprint:
             raise ValueError(
                 f"stale checkpoint in {self.directory!r}: it was written "
                 "by a run with different settings (dataset, seed, "
                 "shard_size, faults/overload, or an earlier fingerprint "
-                "layout); "
-                "use a fresh --checkpoint-dir or rerun with the original "
-                "settings"
+                "layout); use a fresh --checkpoint-dir or rerun with the "
+                "original settings"
             )
-        return manifest
-
-    # ------------------------------------------------------------------
-    # Per-shard records
-    # ------------------------------------------------------------------
-    def shard_path(self, index: int) -> str:
-        return os.path.join(self.directory, f"shard-{index:05d}.json")
 
     def write_shard(self, record: ShardRecord) -> str:
-        """Atomically spill one shard (temp file + rename)."""
-        path = self.shard_path(record.index)
-        self._write_json(path, record.to_doc())
-        return path
+        """Spill one shard; returns its path."""
+        name = f"shard-{record.index:05d}.json"
+        return self._write_doc(name, record.to_doc())
 
     def load_shard(self, index: int) -> ShardRecord:
-        with open(self.shard_path(index), encoding="utf-8") as handle:
-            return ShardRecord.from_doc(json.load(handle))
+        return ShardRecord.from_doc(
+            self._read_doc(f"shard-{index:05d}.json", "shard checkpoint")
+        )
 
     def completed_shards(self, num_shards: int) -> set[int]:
         """Indices whose shard files exist and parse cleanly.
@@ -475,28 +411,39 @@ class CheckpointStore:
         """
         completed: set[int] = set()
         for index in range(num_shards):
-            path = self.shard_path(index)
-            if not os.path.exists(path):
-                continue
             try:
-                with open(path, encoding="utf-8") as handle:
-                    doc = json.load(handle)
-                if (
-                    doc.get("schema") == SHARD_SCHEMA
-                    and doc.get("shard", {}).get("index") == index
-                ):
-                    completed.add(index)
-            except (OSError, json.JSONDecodeError):
+                doc = self._read_doc(
+                    f"shard-{index:05d}.json", "shard checkpoint"
+                )
+            except (OSError, ValueError):
                 continue
+            if (
+                doc.get("schema") == SHARD_SCHEMA
+                and doc.get("shard", {}).get("index") == index
+            ):
+                completed.add(index)
         return completed
 
-    # ------------------------------------------------------------------
-    def _write_json(self, path: str, doc: dict) -> None:
+    def _write_doc(self, name: str, doc: dict) -> str:
         text = json.dumps(
             doc, sort_keys=True, separators=(",", ":"), allow_nan=False
         )
-        temp = f"{path}.tmp"
-        with open(temp, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
-            handle.write("\n")
-        os.replace(temp, path)
+        return self.put(name, f"{text}\n".encode("utf-8"))
+
+    def _read_doc(self, name: str, what: str) -> dict:
+        """The JSON object stored as ``name``: FileNotFoundError if it is
+        missing, ``ValueError("unreadable <what> ...")`` if it cannot be
+        read or parsed or holds JSON other than an object."""
+        path = self.path(name)
+        try:
+            with open(path, encoding="utf-8") as handle:
+                doc = json.load(handle)
+        except FileNotFoundError:
+            raise
+        except (OSError, ValueError) as exc:
+            raise ValueError(f"unreadable {what} at {path!r}: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise ValueError(
+                f"unreadable {what} at {path!r}: not a JSON object"
+            )
+        return doc

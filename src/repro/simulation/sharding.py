@@ -35,7 +35,6 @@ from __future__ import annotations
 import multiprocessing
 import os
 import pickle
-import shutil
 import tempfile
 from dataclasses import dataclass, fields, replace
 from typing import Iterable, Iterator, Sequence
@@ -52,8 +51,8 @@ from repro.mobility.trajectory import TrajectoryDataset, replay_cut
 from repro.network.traffic import TrafficFold
 from repro.partitioning.partitioner import DNNPartitioner
 from repro.simulation.checkpoint import (
+    ArtifactStore,
     CheckpointStore,
-    ModelCache,
     ShardDatasetStore,
     ShardRecord,
     model_fingerprint,
@@ -395,7 +394,8 @@ def run_large_scale_sharded(
     additionally persisted to disk keyed by :func:`model_fingerprint`,
     so a repeat run over the same dataset/seed skips training entirely —
     pickle round-trips every float bit-exactly and the parent consumes no
-    RNG after training, so a cache hit changes no merged bytes.  The
+    RNG after training, so a cache hit changes no merged bytes; an entry
+    that fails to unpickle is a miss, retrained and overwritten.  The
     cache only engages when this call would train the default models
     (explicitly passed ``predictor``/``contention_estimator`` bypass it).
 
@@ -422,14 +422,15 @@ def run_large_scale_sharded(
     windows the trace dominates memory and inter-process transfer.
 
     ``spill_datasets=True`` writes each shard's trajectory subset to
-    disk once at plan time (under ``checkpoint_dir/datasets``, or a
-    temporary scratch directory removed on return) and hands jobs the
-    *path*; workers load their own file, the driver drops its dataset
-    reference after planning, and — when no ``checkpoint_dir`` streams
-    results already — completed shards are spilled through a scratch
-    checkpoint store and merged streamingly, so the driver process holds
-    only the plan, one in-flight shard record, and the merged result
-    regardless of population size.  Pickle round-trips the trajectory
+    disk once at plan time (under ``datasets/`` in ``checkpoint_dir``, or
+    in a temporary scratch directory) and hands jobs the *path*; workers
+    load their own file, the driver drops its dataset reference after
+    planning, and the spilled subsets are removed when the run ends,
+    however it ends.  Without a ``checkpoint_dir``, completed shards are
+    spilled to the scratch directory (removed on return too) and merged
+    streamingly, so the driver process holds only the plan, one
+    in-flight shard record, and the merged result regardless of
+    population size.  Pickle round-trips the trajectory
     arrays bit-exactly: spilled runs export the same bytes as in-memory
     ones (pinned by the equivalence suite).
 
@@ -487,14 +488,15 @@ def run_large_scale_sharded(
             LocalProcessExecutor(_pool_context()) for _ in range(workers)
         ] + remote_executors
     supervision = supervision or SupervisorConfig()
+    # Fail fast on an unusable directory, before the expensive training.
     store = None
     if checkpoint_dir is not None:
         store = CheckpointStore(checkpoint_dir)
-        store.prepare()  # fail now if the directory is unusable
+        store.prepare()
     model_cache = None
     if model_cache_dir is not None:
-        model_cache = ModelCache(model_cache_dir)
-        model_cache.prepare()  # same fail-fast as the checkpoint store
+        model_cache = ArtifactStore(model_cache_dir)
+        model_cache.prepare()
     config = config or PerDNNConfig(
         migration_radius_m=settings.migration_radius_m
     )
@@ -503,7 +505,7 @@ def run_large_scale_sharded(
     # engages when the default models would be trained right here
     # (caller-supplied models bypass it).
     models_blob: bytes | None = None
-    cache_key: str | None = None
+    cache_name: str | None = None
     if (
         model_cache is not None
         and predictor is None
@@ -513,10 +515,16 @@ def run_large_scale_sharded(
             or settings.use_contention_estimator
         )
     ):
-        cache_key = model_fingerprint(dataset, settings, config, model_names)
-        models_blob = model_cache.load(cache_key)
+        key = model_fingerprint(dataset, settings, config, model_names)
+        cache_name = f"models-{key}.pkl"
+        models_blob = model_cache.get(cache_name)
         if models_blob is not None:
-            predictor, contention_estimator = pickle.loads(models_blob)
+            try:
+                predictor, contention_estimator = pickle.loads(models_blob)
+            except Exception:
+                # A torn or foreign entry is a miss.  Unpickling corrupt
+                # bytes can raise almost any exception type.
+                models_blob = None
     predictor, contention_estimator = train_default_models(
         dataset, pool[0], settings, config,
         np.random.default_rng(settings.seed),
@@ -524,8 +532,8 @@ def run_large_scale_sharded(
     )
     if models_blob is None:
         models_blob = pickle.dumps((predictor, contention_estimator))
-        if model_cache is not None and cache_key is not None:
-            model_cache.store(cache_key, models_blob)
+        if cache_name is not None:
+            model_cache.put(cache_name, models_blob)
     # Warm a copy (the caller's partitioner stays as passed): every shard
     # unpickles this template, so each key is planned once per run
     # instead of once per shard.
@@ -556,45 +564,29 @@ def run_large_scale_sharded(
         store.write_manifest(
             fingerprint, len(shards), shard_size, record_events
         )
-
+    elif spill_datasets:
+        # A spilled run streams its results from disk too, through a
+        # scratch root, so the driver's client-scale footprint is one
+        # in-flight shard plus the merged result whatever the population.
+        store = CheckpointStore(tempfile.mkdtemp(prefix="repro-shard-spill-"))
     # Dataset spill: sub-datasets go to disk at plan time and jobs carry
-    # only paths.  Without a user checkpoint directory the results are
-    # spilled too (through a scratch store removed on return), so the
-    # driver's client-scale footprint is one in-flight shard plus the
-    # merged result — independent of the population size.
-    scratch_dir: str | None = None
-    dataset_store: ShardDatasetStore | None = None
-    result_store = store
+    # only paths.  They are scratch under either root, removed in finally.
+    datasets = None
     if spill_datasets:
-        if store is not None:
-            dataset_store = ShardDatasetStore(
-                os.path.join(store.directory, "datasets")
-            )
-        else:
-            scratch_dir = tempfile.mkdtemp(prefix="repro-shard-spill-")
-            dataset_store = ShardDatasetStore(
-                os.path.join(scratch_dir, "datasets")
-            )
-            result_store = CheckpointStore(
-                os.path.join(scratch_dir, "results")
-            )
-            result_store.prepare()
-        dataset_store.prepare()
+        datasets = ShardDatasetStore(store.path("datasets"))
 
     try:
+        if datasets is not None:
+            datasets.prepare()
         jobs = []
         for shard in shards:
             if shard.index in completed:
                 continue
-            if dataset_store is not None:
+            job_dataset = _sub_dataset(dataset, shard.trajectory_indices)
+            job_path = None
+            if datasets is not None:
+                job_path = datasets.store(shard.index, job_dataset)
                 job_dataset = None
-                job_path = dataset_store.store(
-                    shard.index,
-                    _sub_dataset(dataset, shard.trajectory_indices),
-                )
-            else:
-                job_dataset = _sub_dataset(dataset, shard.trajectory_indices)
-                job_path = None
             jobs.append(
                 _ShardJob(
                     index=shard.index,
@@ -617,7 +609,7 @@ def run_large_scale_sharded(
             dataset = None  # type: ignore[assignment]
 
         def spill(index: int, result: LargeScaleResult) -> None:
-            result_store.write_shard(ShardRecord.from_result(index, result))
+            store.write_shard(ShardRecord.from_result(index, result))
 
         results, report = supervise(
             jobs,
@@ -625,19 +617,17 @@ def run_large_scale_sharded(
             workers=workers,
             config=supervision,
             mp_context=_pool_context(),
-            on_result=spill if result_store is not None else None,
+            on_result=spill if store is not None else None,
             # With a store the merge streams from disk; holding every
             # shard result in memory as well would defeat the point.
-            keep_results=result_store is None,
+            keep_results=store is None,
             executors=executors,
         )
-        if dataset_store is not None:
-            dataset_store.cleanup()  # scratch, not checkpoints
 
         surviving = sorted(completed | set(results))
-        if result_store is not None:
+        if store is not None:
             records: Iterable[ShardRecord] = (
-                result_store.load_shard(index) for index in surviving
+                store.load_shard(index) for index in surviving
             )
         else:
             records = (
@@ -653,8 +643,10 @@ def run_large_scale_sharded(
             workers=workers,
         )
     finally:
-        if scratch_dir is not None:
-            shutil.rmtree(scratch_dir, ignore_errors=True)
+        if datasets is not None:
+            datasets.cleanup("dataset-")
+        if store is not None and checkpoint_dir is None:
+            store.cleanup("shard-")  # the scratch root goes with them
     _annotate_supervision(merged, shards, completed, report)
     merged.extras["partition_cache"]["prewarmed"] = prewarmed
     merged.extras["sharding"]["spill_datasets"] = spill_datasets

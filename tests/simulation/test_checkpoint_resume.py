@@ -105,13 +105,15 @@ class TestCheckpointedMerge:
             dataset, tiny_partitioner, make_settings(),
             checkpoint_dir=checkpoint,
         )
-        (checkpoint / "shard-00001.json").write_text("{torn write")
-        resumed = run_sharded(
-            dataset, tiny_partitioner, make_settings(),
-            checkpoint_dir=checkpoint, resume=True,
-        )
-        assert resumed.telemetry.dumps() == first.telemetry.dumps()
-        assert 1 not in resumed.extras["sharding"]["resumed_shards"]
+        # Torn JSON, and valid JSON that is not an object.
+        for content in ("{torn write", "[]", "null"):
+            (checkpoint / "shard-00001.json").write_text(content)
+            resumed = run_sharded(
+                dataset, tiny_partitioner, make_settings(),
+                checkpoint_dir=checkpoint, resume=True,
+            )
+            assert resumed.telemetry.dumps() == first.telemetry.dumps()
+            assert 1 not in resumed.extras["sharding"]["resumed_shards"]
 
     def test_record_events_false_roundtrip(
         self, dataset, tiny_partitioner, tmp_path
@@ -177,6 +179,18 @@ class TestGuards:
             run_sharded(
                 dataset, tiny_partitioner, make_settings(),
                 checkpoint_dir=tmp_path / "empty", resume=True,
+            )
+
+    def test_resume_with_non_object_manifest_rejected(
+        self, dataset, tiny_partitioner, tmp_path
+    ):
+        checkpoint = tmp_path / "ckpt"
+        checkpoint.mkdir()
+        (checkpoint / "MANIFEST.json").write_text("[1]")
+        with pytest.raises(ValueError, match="unreadable checkpoint manifest"):
+            run_sharded(
+                dataset, tiny_partitioner, make_settings(),
+                checkpoint_dir=checkpoint, resume=True,
             )
 
     def test_unusable_checkpoint_dir_rejected(

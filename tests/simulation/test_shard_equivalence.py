@@ -258,6 +258,25 @@ class TestModelBroadcast:
         )
         assert trained.telemetry.dumps() == cached.telemetry.dumps()
 
+    def test_corrupt_model_cache_entry_is_retrained(
+        self, dataset, tiny_partitioner, tmp_path
+    ):
+        # A truncated entry is a miss: the run retrains, exports the
+        # fresh run's bytes, and rewrites the entry whole.
+        cache_dir = tmp_path / "models"
+        settings = make_settings()
+        fresh = run_sharded(
+            dataset, tiny_partitioner, settings, model_cache_dir=cache_dir,
+        )
+        (blob,) = cache_dir.glob("models-*.pkl")
+        whole = blob.read_bytes()
+        blob.write_bytes(whole[: len(whole) // 2])
+        retrained = run_sharded(
+            dataset, tiny_partitioner, settings, model_cache_dir=cache_dir,
+        )
+        assert retrained.telemetry.dumps() == fresh.telemetry.dumps()
+        assert blob.read_bytes() == whole
+
     def test_supplied_models_skip_the_time_split(
         self, dataset, tiny_partitioner, monkeypatch
     ):
@@ -496,6 +515,33 @@ class TestDatasetSpill:
             spill_datasets=True, checkpoint_dir=tmp_path / "ckpt",
         )
         assert spilled.telemetry.dumps() == plain.telemetry.dumps()
+        # The checkpoint outlives the run; the spilled subsets do not.
+        shards = spilled.extras["sharding"]["planned_shards"]
+        assert (tmp_path / "ckpt" / "MANIFEST.json").is_file()
+        assert sorted(p.name for p in (tmp_path / "ckpt").glob("shard-*")) == [
+            f"shard-{i:05d}.json" for i in range(shards)
+        ]
+        assert not (tmp_path / "ckpt" / "datasets").exists()
+
+    def test_failed_spill_run_removes_datasets(
+        self, dataset, tiny_partitioner, tmp_path
+    ):
+        # A run that dies mid-way keeps its checkpoint for --resume but
+        # must not leak the spilled subsets.
+        from repro.faults import WorkerChaos
+        from repro.simulation.supervisor import ShardError, SupervisorConfig
+
+        checkpoint = tmp_path / "ckpt"
+        with pytest.raises(ShardError):
+            run_sharded(
+                dataset, tiny_partitioner, make_settings(), workers=2,
+                spill_datasets=True, checkpoint_dir=checkpoint,
+                supervision=SupervisorConfig(
+                    max_attempts=1, chaos=WorkerChaos(always_kill=(0,)),
+                ),
+            )
+        assert (checkpoint / "MANIFEST.json").is_file()
+        assert not (checkpoint / "datasets").exists()
 
 
 class TestRemoteDispatch:
