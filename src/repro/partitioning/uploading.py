@@ -57,6 +57,11 @@ class UploadSchedule:
     chunks: tuple[UploadChunk, ...]
     latencies: tuple[float, ...]
 
+    def __post_init__(self) -> None:
+        # A zero latency never advances the query loop's clock.
+        if not all(latency > 0 for latency in self.latencies):
+            raise ValueError("latencies must be positive")
+
     @cached_property
     def total_bytes(self) -> float:
         # Same left-to-right running sum as :meth:`cumulative_bytes`, cached

@@ -44,7 +44,6 @@ from repro.overload import (
 from repro.partitioning.partitioner import DNNPartitioner
 from repro.simulation.query_loop import (
     QUERY_LATENCY_BUCKETS,
-    _steady_query_count,
     run_local_window,
     run_query_window,
 )
@@ -469,26 +468,27 @@ def _overload_gate(
 def _query_windows(run: _Run) -> None:
     """Phase 3: one query window per active client, in one pass.
 
-    A window runs on the device (at the partitioner's all-local latency)
-    when no live server was reachable or ``run.admission`` shed it;
-    otherwise the client's server, or a redirect target, serves it under
-    the full plan or a degraded one.  Under ``run.routing`` each query's
+    A window runs on the device (:func:`run_local_window`, at the
+    partitioner's all-local latency) when no live server was reachable or
+    ``run.admission`` shed it; otherwise the client's server, or a
+    redirect target, serves it under the full plan or a degraded one
+    (:func:`run_query_window`).  Under ``run.routing`` each query's
     tensors are relayed over the backhaul (§3.A), which adds latency and
     is metered as backhaul traffic.
 
     Clients are walked in order, and every order-sensitive step (breaker
     gate, admission and redirect probes, lazy slowdown estimates, trace
     events, upload backoff, routed transfers, server cache updates, the
-    latency and queue-wait histograms) stays inline in that walk.  The
-    rest is batched: one plan per ``(server, partitioner)`` pair, with
-    the plan cache's hit counter compensated to one call per window;
-    order-free int counters, incremented once per interval; and steady
-    windows, counted by the memoized recurrence instead of
-    :func:`run_query_window`, consecutive equal latencies collapsing
-    into one ``observe_repeated``.  ``tests/oracles/reference_paths.py``
-    keeps the one-client-at-a-time loop; the equivalence suites pin the
-    two byte for byte.  The loop is the hot path: it reads ``run``
-    through locals.
+    queue-wait histogram) stays inline in that walk.  Both integrators
+    only count; one accounting tail records every window.  The rest is
+    batched: one plan per ``(server, partitioner)`` pair, with the plan
+    cache's hit counter compensated to one call per window; order-free
+    int counters, incremented once per interval; and the windows' latency
+    runs, consecutive equal latencies merged across the interval and
+    observed once at the end with ``observe_repeated``.
+    ``tests/oracles/reference_paths.py`` keeps the one-client-at-a-time
+    loop; the equivalence suites pin the two byte for byte.  The loop is
+    the hot path: it reads ``run`` through locals.
     """
     active, master, metrics = run.active, run.master, run.metrics
     telemetry, config, interval = run.telemetry, run.config, run.interval
@@ -512,11 +512,8 @@ def _query_windows(run: _Run) -> None:
     server_of = master.server
     registry = master.registry
     grid = registry.grid
-    memo_get = count_memo.get
-    latency_hist: Histogram | None = None
     queue_wait_hist: Histogram | None = None
-    pending_value = 0.0
-    pending_times = 0
+    latency_runs: list[list] = []  # [latency, queries], merged in order
 
     n_windows = 0
     completed_total = 0
@@ -548,7 +545,6 @@ def _query_windows(run: _Run) -> None:
         if info is None:
             info = [client_partitioner.graph.name, None]
             partitioner_info[pid] = info
-        model_name = info[0]
         server = None
         outcome = None
         queue_wait = None
@@ -561,163 +557,100 @@ def _query_windows(run: _Run) -> None:
                     client, server, master, admission, telemetry, step
                 )
                 outcome_windows[outcome] = outcome_windows.get(outcome, 0) + 1
+        coldstart = False
         if server is None or outcome == "shed":
             # On-device window: graceful degradation when no live server
             # is reachable, or load shedding — no query is ever dropped.
+            server = None  # the device serves it
             if info[1] is None:
                 info[1] = client_partitioner.local_latency()
-            local_latency = info[1]
-            # The count only: the pass records the window's telemetry.
-            count = run_local_window(
-                local_latency, interval, query_gap, count_memo=count_memo
-            ).count
-            n_windows += 1
+            window = run_local_window(
+                info[1], interval, query_gap, count_memo=count_memo
+            )
+            count = window.count
+            # Shedding is a capacity decision, not lost availability.
             if outcome is None:
                 n_local += 1
                 local_fallback_total += count
-            else:
-                # Shedding is a capacity decision, not lost availability.
-                outcome_queries[outcome] = (
-                    outcome_queries.get(outcome, 0) + count
-                )
-            if count:
-                completed_total += count
-                if latency_hist is None:
-                    latency_hist = metrics.histogram(
-                        "query.latency_seconds", QUERY_LATENCY_BUCKETS
-                    )
-                if pending_times and pending_value != local_latency:
-                    latency_hist.observe_repeated(pending_value, pending_times)
-                    pending_times = 0
-                pending_value = local_latency
-                pending_times += count
-            per_model[model_name] = per_model.get(model_name, 0) + count
-            if events_on:
-                trace.record(
-                    QueryWindowEvent(
-                        interval=step,
-                        client_id=cid,
-                        server_id=None,
-                        queries=count,
-                        coldstart=False,
-                        end_bytes=0.0,
-                    )
-                )
-            continue
-        if outcome == "degraded":
-            plan = client_partitioner.degraded(
-                master.estimate_slowdown(server),
-                admission.config.degrade_inflation,
-            )
         else:
-            plan_key = (server.server_id, pid)
-            plan = plan_cache.get(plan_key)
-            if plan is None:
-                plan = client_partitioner.partition(
-                    master.estimate_slowdown(server)
+            if outcome == "degraded":
+                plan = client_partitioner.degraded(
+                    master.estimate_slowdown(server),
+                    admission.config.degrade_inflation,
                 )
-                plan_cache[plan_key] = plan
             else:
-                # One partition() call per window would hit the plan
-                # cache on the same quantized key from the second on.
-                client_partitioner.cache_hits += 1
-            plan_calls += 1
-        schedule = plan.schedule
-        total_bytes = schedule.total_bytes
-        if optimal:
-            cached = total_bytes
-        else:
-            cached = server.cached_bytes(cid, client.model_version)
-            if cached > total_bytes:
-                cached = total_bytes
-        coldstart = cid in associated_this_step
-        # Redirected windows are served away from the association, so
-        # they carry no cold-start verdict for the associated server.
-        if coldstart and outcome != "redirected":
-            threshold = hit_fraction * total_bytes
-            hit = total_bytes <= 0 or cached + 1e-6 >= threshold
-            if hit:
-                coldstart_hits += 1
-            else:
-                coldstart_misses += 1
-            if events_on:
-                trace.record(
-                    ColdStartEvent(
-                        interval=step,
-                        client_id=cid,
-                        server_id=server.server_id,
-                        hit=hit,
-                        cached_bytes=cached,
-                        required_bytes=total_bytes,
+                plan_key = (server.server_id, pid)
+                plan = plan_cache.get(plan_key)
+                if plan is None:
+                    plan = client_partitioner.partition(
+                        master.estimate_slowdown(server)
                     )
-                )
-        overhead = 0.0
-        hops = 0
-        if routing:
-            hops = grid.hop_distance(
-                grid.cell_of(client.position),
-                registry.cell_of_server(server.server_id),
-            )
-            tensors = routed_tensors(plan.costs, plan.plan)
-            overhead = routing_overhead_seconds(config, hops, tensors)
-        uploading = not optimal
-        uplink_bps = uplink_default
-        if faults_on and uploading:
-            if not client.upload_allowed(step):
-                uploading = False  # backing off after dropped uploads
-            else:
-                if client.upload_failures > 0:
-                    retries += 1
-                if fault_schedule.upload_dropped(cid, step):
-                    client.record_upload_drop(step)
-                    record_fault(
-                        telemetry, step, "upload_drop",
-                        server_id=server_id, client_id=cid,
-                    )
-                    uploading = False
+                    plan_cache[plan_key] = plan
                 else:
-                    client.record_upload_success()
-                    factor = fault_schedule.uplink_factor(step)
-                    if factor < 1.0:
-                        uplink_bps = config.network.degraded(factor).uplink_bps
-        if not uploading or uplink_bps == 0.0 or cached >= total_bytes:
-            # Steady window: constant latency, no byte movement (matches
-            # run_query_window's steady branch value for value).
-            latency = schedule.latency_after_bytes(cached) + overhead
-            first_start = queue_wait or 0.0
-            key = (first_start, latency, query_gap, interval)
-            count = memo_get(key)
-            if count is None:
-                count = _steady_query_count(
-                    first_start, latency, query_gap, interval, count_memo
+                    # One partition() call per window would hit the plan
+                    # cache on the same quantized key from the second on.
+                    client_partitioner.cache_hits += 1
+                plan_calls += 1
+            schedule = plan.schedule
+            total_bytes = schedule.total_bytes
+            if optimal:
+                cached = total_bytes
+            else:
+                cached = server.cached_bytes(cid, client.model_version)
+                if cached > total_bytes:
+                    cached = total_bytes
+            coldstart = cid in associated_this_step
+            # Redirected windows are served away from the association, so
+            # they carry no cold-start verdict for the associated server.
+            if coldstart and outcome != "redirected":
+                threshold = hit_fraction * total_bytes
+                hit = total_bytes <= 0 or cached + 1e-6 >= threshold
+                if hit:
+                    coldstart_hits += 1
+                else:
+                    coldstart_misses += 1
+                if events_on:
+                    trace.record(
+                        ColdStartEvent(
+                            interval=step,
+                            client_id=cid,
+                            server_id=server.server_id,
+                            hit=hit,
+                            cached_bytes=cached,
+                            required_bytes=total_bytes,
+                        )
+                    )
+            overhead = 0.0
+            hops = 0
+            if routing:
+                hops = grid.hop_distance(
+                    grid.cell_of(client.position),
+                    registry.cell_of_server(server.server_id),
                 )
-            n_windows += 1
-            if queue_wait is not None:
-                if queue_wait_hist is None:
-                    queue_wait_hist = metrics.histogram(
-                        "overload.queue_wait_seconds", QUEUE_WAIT_BUCKETS
-                    )
-                queue_wait_hist.observe(queue_wait)
-            if count:
-                completed_total += count
-                if latency_hist is None:
-                    latency_hist = metrics.histogram(
-                        "query.latency_seconds", QUERY_LATENCY_BUCKETS
-                    )
-                if pending_times and pending_value != latency:
-                    latency_hist.observe_repeated(pending_value, pending_times)
-                    pending_times = 0
-                pending_value = latency
-                pending_times += count
-            end_bytes = (
-                total_bytes if uploading and uplink_bps != 0.0 else cached
-            )
-        else:
-            if pending_times:
-                # run_query_window observes the same histogram in-place;
-                # drain the grouped tail first to keep the serial order.
-                latency_hist.observe_repeated(pending_value, pending_times)
-                pending_times = 0
+                tensors = routed_tensors(plan.costs, plan.plan)
+                overhead = routing_overhead_seconds(config, hops, tensors)
+            uploading = not optimal
+            uplink_bps = uplink_default
+            if faults_on and uploading:
+                if not client.upload_allowed(step):
+                    uploading = False  # backing off after dropped uploads
+                else:
+                    if client.upload_failures > 0:
+                        retries += 1
+                    if fault_schedule.upload_dropped(cid, step):
+                        client.record_upload_drop(step)
+                        record_fault(
+                            telemetry, step, "upload_drop",
+                            server_id=server_id, client_id=cid,
+                        )
+                        uploading = False
+                    else:
+                        client.record_upload_success()
+                        factor = fault_schedule.uplink_factor(step)
+                        if factor < 1.0:
+                            uplink_bps = config.network.degraded(
+                                factor
+                            ).uplink_bps
             window = run_query_window(
                 schedule,
                 start_bytes=cached,
@@ -727,25 +660,40 @@ def _query_windows(run: _Run) -> None:
                 uploading=uploading,
                 latency_overhead=overhead,
                 queue_wait=queue_wait,
-                telemetry=metrics,
                 count_memo=count_memo,
             )
             count = window.count
-            end_bytes = window.end_bytes
-        if hops > 0 and count:
-            access_server = registry.server_at(client.position)
-            if access_server is not None and access_server != server.server_id:
-                if tensors.uplink_bytes > 0:
-                    master.traffic_meter.record(
-                        step, access_server, server.server_id,
-                        count * tensors.uplink_bytes,
-                    )
-                if tensors.downlink_bytes > 0:
-                    master.traffic_meter.record(
-                        step, server.server_id, access_server,
-                        count * tensors.downlink_bytes,
-                    )
-        per_model[model_name] = per_model.get(model_name, 0) + count
+            if hops > 0 and count:
+                access_server = registry.server_at(client.position)
+                if (
+                    access_server is not None
+                    and access_server != server.server_id
+                ):
+                    if tensors.uplink_bytes > 0:
+                        master.traffic_meter.record(
+                            step, access_server, server.server_id,
+                            count * tensors.uplink_bytes,
+                        )
+                    if tensors.downlink_bytes > 0:
+                        master.traffic_meter.record(
+                            step, server.server_id, access_server,
+                            count * tensors.downlink_bytes,
+                        )
+        # The accounting tail, shared by every window.
+        n_windows += 1
+        if queue_wait is not None:
+            if queue_wait_hist is None:
+                queue_wait_hist = metrics.histogram(
+                    "overload.queue_wait_seconds", QUEUE_WAIT_BUCKETS
+                )
+            queue_wait_hist.observe(queue_wait)
+        completed_total += count
+        for latency, times in window.runs:
+            if latency_runs and latency_runs[-1][0] == latency:
+                latency_runs[-1][1] += times
+            else:
+                latency_runs.append([latency, times])
+        per_model[info[0]] = per_model.get(info[0], 0) + count
         if outcome is not None:
             outcome_queries[outcome] = outcome_queries.get(outcome, 0) + count
         if coldstart:
@@ -756,21 +704,25 @@ def _query_windows(run: _Run) -> None:
                 QueryWindowEvent(
                     interval=step,
                     client_id=cid,
-                    server_id=server.server_id,
+                    server_id=None if server is None else server.server_id,
                     queries=count,
                     coldstart=coldstart,
-                    end_bytes=end_bytes,
+                    end_bytes=window.end_bytes,
                 )
             )
-        if not optimal:
-            if end_bytes - cached > 0:
-                server.add_bytes(cid, end_bytes - cached, step, ttl,
-                                 client.model_version)
+        if server is not None and not optimal:
+            delta = window.end_bytes - cached
+            if delta > 0:
+                server.add_bytes(cid, delta, step, ttl, client.model_version)
             else:
                 server.refresh_ttl(cid, step, ttl, client.model_version)
 
-    if pending_times:
-        latency_hist.observe_repeated(pending_value, pending_times)
+    if latency_runs:
+        latency_hist = metrics.histogram(
+            "query.latency_seconds", QUERY_LATENCY_BUCKETS
+        )
+        for latency, times in latency_runs:
+            latency_hist.observe_repeated(latency, times)
     if faults_on:
         metrics.counter("resilience.client_intervals").inc(len(active))
         if n_local:

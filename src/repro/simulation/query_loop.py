@@ -10,11 +10,10 @@ plan (IONN's incremental offloading).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
-from repro.overload.admission import QUEUE_WAIT_BUCKETS
 from repro.partitioning.uploading import UploadSchedule
-from repro.telemetry.registry import MetricsRegistry
 
 #: Fixed bucket bounds (seconds) for the query-latency histogram; spans
 #: on-device MobileNet (~tens of ms) through cold-start ResNet (~1 s+).
@@ -29,6 +28,9 @@ class WindowOutcome:
 
     count: int  # queries completed inside the window
     end_bytes: float  # upload progress at window end
+    # The completed queries in order, consecutive equal latencies merged
+    # into one ``(latency, queries)`` pair.
+    runs: tuple[tuple[float, int], ...] = ()
 
 
 def _steady_query_count(
@@ -70,7 +72,6 @@ def run_query_window(
     first_gap: float = 0.0,
     latency_overhead: float = 0.0,
     queue_wait: float | None = None,
-    telemetry: MetricsRegistry | None = None,
     count_memo: dict | None = None,
 ) -> WindowOutcome:
     """Integrate the query loop over ``duration`` seconds.
@@ -82,20 +83,24 @@ def run_query_window(
     ``latency_overhead`` is added to every query (e.g. backhaul routing
     cost when the serving cell is remote).  ``queue_wait`` — only passed
     by the overload layer — delays the window's first query behind the
-    server's admission queue and is observed into the
-    ``overload.queue_wait_seconds`` histogram.  With ``telemetry`` the
-    window records each completed query and its (simulated) latency.
+    server's admission queue.  The caller records the window's telemetry
+    from the returned ``runs``.
 
-    No per-query records are materialized.  When no bytes move during
-    the window (nothing left to upload, or not uploading at all) every
-    query has the same latency and the count comes from the memoized
-    serial recurrence (``count_memo``, shared across a run); windows
-    with upload progress replay the exact serial integration.
+    This is the exact serial integration ``t += latency + gap`` with
+    ``latency_after_bytes(received)`` per query, without per-query
+    records.  Received bytes are nondecreasing, so the latency stage only
+    moves right, landing exactly where bisect would.  Once it can no
+    longer move (the whole schedule is at the server, or no bytes flow)
+    every remaining query repeats one latency, and the tail's count comes
+    from the memoized serial recurrence (``count_memo``, shared across a
+    run).
     """
     if duration < 0:
         raise ValueError("duration must be non-negative")
     if start_bytes < 0:
         raise ValueError("start_bytes must be non-negative")
+    if query_gap < 0 or first_gap < 0:
+        raise ValueError("query_gap and first_gap must be non-negative")
     if latency_overhead < 0:
         raise ValueError("latency_overhead must be non-negative")
     if queue_wait is not None and queue_wait < 0:
@@ -103,77 +108,28 @@ def run_query_window(
     total = schedule.total_bytes
     start_bytes = min(start_bytes, total)
     byte_rate = uplink_bps / 8.0 if uploading else 0.0
-    if byte_rate == 0.0 or start_bytes >= total:
-        # received is constant: min(total, start_bytes + rate*t) equals the
-        # clamped start_bytes at every query start time.
-        latency = schedule.latency_after_bytes(start_bytes) + latency_overhead
-        first_start = first_gap + (queue_wait or 0.0)
-        count = _steady_query_count(
-            first_start, latency, query_gap, duration, count_memo
-        )
-        end_bytes = min(total, start_bytes + byte_rate * duration)
-        if telemetry is not None:
-            telemetry.counter("query.windows").inc()
-            if queue_wait is not None:
-                telemetry.histogram(
-                    "overload.queue_wait_seconds", QUEUE_WAIT_BUCKETS
-                ).observe(queue_wait)
-            if count:
-                telemetry.counter("query.completed").inc(count)
-                telemetry.histogram(
-                    "query.latency_seconds", QUERY_LATENCY_BUCKETS
-                ).observe_repeated(latency, count)
-        return WindowOutcome(count=count, end_bytes=end_bytes)
-    # Upload in progress: the exact serial integration ``t += latency +
-    # gap`` with ``latency_after_bytes(received)`` per query.  The latency
-    # stage advances incrementally (received bytes are nondecreasing, so
-    # the stage index only moves right, landing exactly where bisect
-    # would) and consecutive queries at the same latency collapse into
-    # one ``observe_repeated`` replay, which is bit-identical to the
-    # per-query ``observe`` sequence.
     cumulative = schedule._cumulative_list
-    latencies = schedule.latencies
     num_stages = len(cumulative)
-    stage = 0
-    count = 0
+    # The index ``latency_after_bytes(start_bytes)`` computes; received
+    # bytes never fall below ``start_bytes``, so no query sits earlier.
+    stage = bisect_right(cumulative, start_bytes + 1e-9)
+    latency = schedule.latencies[stage] + latency_overhead
     runs: list[tuple[float, int]] = []  # (latency, consecutive queries)
     run_latency = 0.0
     run_count = 0
+    count = 0
     t = first_gap + (queue_wait or 0.0)
-    # Cache the next stage threshold so the (frequent) queries that do
-    # not cross one skip the stage walk; ``nudged >= next_bound`` is
-    # the same float comparison the walk's first iteration would make.
-    next_bound = cumulative[0] if num_stages else None
-    latency = latencies[0] + latency_overhead
-    while True:
-        received = min(total, start_bytes + byte_rate * t)
-        nudged = received + 1e-9
-        if next_bound is not None and nudged >= next_bound:
+    while stage < num_stages and byte_rate != 0.0:
+        # ``nudged >= cumulative[stage]`` is the same float comparison the
+        # walk's first iteration makes, so queries that cross no
+        # threshold skip the walk.
+        nudged = min(total, start_bytes + byte_rate * t) + 1e-9
+        if nudged >= cumulative[stage]:
             while stage < num_stages and cumulative[stage] <= nudged:
                 stage += 1
-            next_bound = (
-                cumulative[stage] if stage < num_stages else None
-            )
-            latency = latencies[stage] + latency_overhead
-        if stage == num_stages:
-            # Past the last threshold the stage can never advance
-            # again: every remaining query repeats at this latency, so
-            # the tail is the steady recurrence starting at ``t`` —
-            # the memoized replay performs the identical serial
-            # ``t += latency + gap`` walk the loop below would.
-            tail = _steady_query_count(
-                t, latency, query_gap, duration, count_memo
-            )
-            if tail:
-                count += tail
-                if run_count and latency == run_latency:
-                    run_count += tail
-                else:
-                    if run_count:
-                        runs.append((run_latency, run_count))
-                    run_latency = latency
-                    run_count = tail
-            break
+            latency = schedule.latencies[stage] + latency_overhead
+            if stage == num_stages:
+                continue  # the steady tail takes over from ``t``
         if t + latency > duration:
             break
         if run_count and latency == run_latency:
@@ -185,23 +141,24 @@ def run_query_window(
             run_count = 1
         count += 1
         t += latency + query_gap
+    else:
+        # The latency can no longer change: every remaining query
+        # repeats it, so the memoized replay performs the identical
+        # serial ``t += latency + gap`` walk this loop would.
+        tail = _steady_query_count(t, latency, query_gap, duration, count_memo)
+        if tail:
+            count += tail
+            if run_count and latency == run_latency:
+                run_count += tail
+            else:
+                if run_count:
+                    runs.append((run_latency, run_count))
+                run_latency = latency
+                run_count = tail
     if run_count:
         runs.append((run_latency, run_count))
     end_bytes = min(total, start_bytes + byte_rate * duration)
-    if telemetry is not None:
-        telemetry.counter("query.windows").inc()
-        if queue_wait is not None:
-            telemetry.histogram(
-                "overload.queue_wait_seconds", QUEUE_WAIT_BUCKETS
-            ).observe(queue_wait)
-        if count:
-            telemetry.counter("query.completed").inc(count)
-            histogram = telemetry.histogram(
-                "query.latency_seconds", QUERY_LATENCY_BUCKETS
-            )
-            for run_latency, run_count in runs:
-                histogram.observe_repeated(run_latency, run_count)
-    return WindowOutcome(count=count, end_bytes=end_bytes)
+    return WindowOutcome(count, end_bytes, tuple(runs))
 
 
 def run_local_window(
@@ -223,9 +180,13 @@ def run_local_window(
         raise ValueError("local_latency must be positive")
     if duration < 0:
         raise ValueError("duration must be non-negative")
+    if query_gap < 0:
+        raise ValueError("query_gap must be non-negative")
     # Local windows are always steady state (constant latency, no
     # upload), so the memoized count recurrence applies unconditionally.
     count = _steady_query_count(
         0.0, local_latency, query_gap, duration, count_memo
     )
-    return WindowOutcome(count=count, end_bytes=0.0)
+    return WindowOutcome(
+        count, 0.0, ((local_latency, count),) if count else ()
+    )

@@ -11,6 +11,7 @@ from repro.ml.tree import RegressionTree
 from repro.network.transfer import transfer_seconds, transferable_bytes
 from repro.partitioning.uploading import UploadChunk, UploadSchedule
 from repro.simulation.query_loop import run_query_window
+from tests.oracles import reference_paths
 
 finite_coord = st.floats(-1e5, 1e5, allow_nan=False)
 
@@ -100,3 +101,46 @@ class TestQueryLoopProperties:
         )
         more = run_query_window(schedule, fraction * nbytes, 8.0, 30.0, 0.5)
         assert more.count >= fewer.count
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_folded_loop_matches_reference(self, data):
+        nbytes = data.draw(
+            st.lists(st.floats(1.0, 1000.0), min_size=0, max_size=3)
+        )
+        latencies = data.draw(
+            st.lists(
+                st.floats(0.05, 5.0),
+                min_size=len(nbytes) + 1, max_size=len(nbytes) + 1,
+            )
+        )
+        schedule = UploadSchedule(
+            chunks=tuple(
+                UploadChunk((i,), (f"L{i}",), b, 1.0, 1.0)
+                for i, b in enumerate(nbytes)
+            ),
+            latencies=tuple(latencies),
+        )
+        # Exactly on a stage threshold, or anywhere inside or past one.
+        start_bytes = data.draw(
+            st.sampled_from([0.0, *schedule.cumulative_bytes()])
+            | st.floats(0.0, 1.5 * schedule.total_bytes + 10.0)
+        )
+        kwargs = dict(
+            start_bytes=start_bytes,
+            uplink_bps=data.draw(st.floats(0.0, 4000.0)),
+            duration=data.draw(st.floats(0.0, 60.0)),
+            query_gap=data.draw(st.floats(0.0, 2.0)),
+            uploading=data.draw(st.booleans()),
+            first_gap=data.draw(st.floats(0.0, 5.0)),
+            latency_overhead=data.draw(st.floats(0.0, 1.0)),
+            queue_wait=data.draw(st.none() | st.floats(0.0, 5.0)),
+        )
+        slow = reference_paths.run_query_window(schedule, **kwargs)
+        fast = run_query_window(schedule, count_memo={}, **kwargs)
+        assert fast.count == slow.count
+        assert fast.end_bytes == slow.end_bytes
+        expanded = [
+            latency for latency, times in fast.runs for _ in range(times)
+        ]
+        assert expanded == [q.latency for q in slow.queries]

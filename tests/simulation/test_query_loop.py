@@ -2,15 +2,14 @@
 
 Per-query timelines come from the record-materializing scalar loop in
 :mod:`tests.oracles.reference_paths`; the production integrator returns
-only the tally and must agree with it on the count, the end bytes, and
-every telemetry byte.
+only the tally and its latency runs, and must agree with it on the count,
+the end bytes, and every query's latency.
 """
 
 import pytest
 
 from repro.partitioning.uploading import UploadChunk, UploadSchedule
 from repro.simulation.query_loop import run_local_window, run_query_window
-from repro.telemetry import MetricsRegistry, metrics_csv
 from tests.oracles import reference_paths
 
 
@@ -26,6 +25,16 @@ def make_schedule(
         for i, b in enumerate(chunk_bytes)
     )
     return UploadSchedule(chunks=chunks, latencies=tuple(latencies))
+
+
+def assert_matches_scalar(fast, slow) -> None:
+    """Same count, end bytes and per-query latencies, runs maximal."""
+    assert fast.count == slow.count
+    assert fast.end_bytes == slow.end_bytes
+    expanded = [latency for latency, times in fast.runs for _ in range(times)]
+    assert expanded == [q.latency for q in slow.queries]
+    assert all(times > 0 for _, times in fast.runs)
+    assert all(a[0] != b[0] for a, b in zip(fast.runs, fast.runs[1:]))
 
 
 class TestRunQueryWindow:
@@ -110,66 +119,59 @@ class TestRunQueryWindow:
             run_query_window(schedule, -1.0, 8.0, 1.0, 0.5)
         with pytest.raises(ValueError):
             run_query_window(schedule, 0.0, 8.0, -1.0, 0.5)
+        with pytest.raises(ValueError):
+            run_query_window(schedule, 0.0, 8.0, 10.0, -0.6)
+        # A zero-latency schedule would never advance the query clock.
+        with pytest.raises(ValueError):
+            run_query_window(
+                UploadSchedule(chunks=(), latencies=(0.0,)), 0.0, 8.0, 1.0, 0.0
+            )
+        with pytest.raises(ValueError):
+            run_local_window(0.5, 10.0, -0.6)
 
 
 class TestFastSteadyState:
     """The production integrator must agree with the scalar loop on the
-    count, the end bytes, and every telemetry byte."""
-
-    def _registries(self):
-        return MetricsRegistry(), MetricsRegistry()
+    count, the end bytes, and every query's latency."""
 
     @pytest.mark.parametrize("duration", [0.0, 4.0, 10.0, 63.7])
     @pytest.mark.parametrize("start_fraction", [0.0, 0.5, 1.0])
     def test_window_count_matches_scalar(self, duration, start_fraction):
         schedule = make_schedule([80.0], [1.0, 0.25])
         start = start_fraction * schedule.total_bytes
-        slow_metrics, fast_metrics = self._registries()
         # uploading=False keeps received bytes constant -> steady window.
         slow = reference_paths.run_query_window(
-            schedule, start, 8.0, duration, 0.5,
-            uploading=False, telemetry=slow_metrics,
+            schedule, start, 8.0, duration, 0.5, uploading=False,
         )
         fast = run_query_window(
-            schedule, start, 8.0, duration, 0.5,
-            uploading=False, telemetry=fast_metrics,
+            schedule, start, 8.0, duration, 0.5, uploading=False,
         )
-        assert fast.count == slow.count
-        assert fast.end_bytes == slow.end_bytes
-        assert metrics_csv(fast_metrics) == metrics_csv(slow_metrics)
+        assert_matches_scalar(fast, slow)
 
     @pytest.mark.parametrize("start_bytes", [0.0, 24.0])
     @pytest.mark.parametrize("uplink_bps", [8.0, 64.0, 1000.0])
     def test_upload_in_progress_matches_scalar(self, start_bytes, uplink_bps):
         schedule = make_schedule([40.0, 40.0], [1.0, 0.5, 0.25])
-        slow_metrics, fast_metrics = self._registries()
         # Bytes move during this window, so production runs the exact
         # per-query integration — just without materializing records.
         slow = reference_paths.run_query_window(
             schedule, start_bytes, uplink_bps, 100.0, 0.5,
-            telemetry=slow_metrics,
         )
         fast = run_query_window(
             schedule, start_bytes, uplink_bps, 100.0, 0.5,
-            telemetry=fast_metrics,
         )
-        assert fast.count == slow.count > 0
-        assert fast.end_bytes == slow.end_bytes
-        assert metrics_csv(fast_metrics) == metrics_csv(slow_metrics)
+        assert fast.count > 0
+        assert_matches_scalar(fast, slow)
 
     def test_queue_wait_recorded_identically(self):
         schedule = make_schedule([], [1.0])
-        slow_metrics, fast_metrics = self._registries()
         slow = reference_paths.run_query_window(
-            schedule, 0.0, 8.0, 10.0, 0.5,
-            queue_wait=1.25, telemetry=slow_metrics,
+            schedule, 0.0, 8.0, 10.0, 0.5, queue_wait=1.25,
         )
         fast = run_query_window(
-            schedule, 0.0, 8.0, 10.0, 0.5,
-            queue_wait=1.25, telemetry=fast_metrics,
+            schedule, 0.0, 8.0, 10.0, 0.5, queue_wait=1.25,
         )
-        assert fast.count == slow.count
-        assert metrics_csv(fast_metrics) == metrics_csv(slow_metrics)
+        assert_matches_scalar(fast, slow)
 
     def test_local_window_matches_scalar(self):
         for latency, duration, gap in (
@@ -178,8 +180,8 @@ class TestFastSteadyState:
         ):
             slow = reference_paths.run_local_window(latency, duration, gap)
             fast = run_local_window(latency, duration, gap, count_memo={})
-            assert fast.count == slow.count
             assert fast.end_bytes == 0.0
+            assert_matches_scalar(fast, slow)
 
     def test_memo_is_reused(self):
         schedule = make_schedule([], [1.0])
