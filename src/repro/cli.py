@@ -172,7 +172,7 @@ def _build_supervision(args: argparse.Namespace):
 def cmd_simulate(args: argparse.Namespace) -> int:
     from repro.simulation.large_scale import SimulationSettings, run_large_scale
     from repro.simulation.sharding import run_large_scale_sharded
-    from repro.simulation.supervisor import ShardError
+    from repro.simulation.supervisor import ShardError, runs_inline
 
     config = PerDNNConfig(
         migration_radius_m=args.radius,
@@ -243,7 +243,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-        if args.workers > 1 or supervision.needs_processes:
+        if not runs_inline(args.workers, supervision):
             # The simulation work happens in worker processes the parent
             # profiler cannot see: designate the lowest-index shard's
             # worker, dump its cProfile stats to a scratch file, and

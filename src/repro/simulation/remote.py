@@ -15,13 +15,14 @@ ends of that transport:
   attempt, forks a disposable handler process per request (a chaos
   ``os._exit`` or a real crash kills only that handler; the supervisor
   observes the dropped connection as ``CAUSE_CRASH`` and retries), runs
-  the job, and streams the result back.
+  :func:`~repro.simulation.supervisor.run_attempt` — the same attempt body
+  as the local slots — and streams its outcome back.
 
 Wire format: each direction carries exactly one frame — an 8-byte
 big-endian unsigned length followed by that many bytes of pickle.  The
 request frame is ``(runner, job, attempt, chaos)``; the response frame
 is the same ``(status, payload)`` pair the local worker sends over its
-pipe.  A short read at any point means the peer died and surfaces as
+pipe.  A short read or an undecodable frame at any point surfaces as
 ``EOFError`` (crash semantics).  Spilled datasets are hydrated on the
 executor side before pickling, so the listener never needs access to
 the driver's filesystem.
@@ -44,6 +45,7 @@ from dataclasses import replace
 from typing import Any, Callable
 
 from repro.simulation.checkpoint import ShardDatasetStore
+from repro.simulation.supervisor import FinishedAttempt, run_attempt
 
 #: Default ``repro shard-worker`` port (unassigned range, easy to grep).
 DEFAULT_PORT = 7077
@@ -57,9 +59,11 @@ _MAX_FRAME = 1 << 36
 
 def parse_address(text: str) -> tuple[str, int]:
     """``"host:port"`` (or bare ``"host"`` using the default port)."""
-    host, _, port_text = text.rpartition(":")
+    host, sep, port_text = text.rpartition(":")
+    if not sep:
+        host, port_text = text, str(DEFAULT_PORT)
     if not host:
-        return text, DEFAULT_PORT
+        raise ValueError(f"invalid shard-worker address {text!r}: empty host")
     try:
         port = int(port_text)
     except ValueError:
@@ -92,11 +96,18 @@ def send_frame(sock: socket.socket, obj: Any) -> None:
 
 def recv_frame(sock: socket.socket) -> Any:
     """Read one length-prefixed pickle frame; ``EOFError`` on a dead
-    peer (which the supervisor maps to crash-and-retry)."""
+    peer or an undecodable payload (the supervisor maps either to
+    crash-and-retry)."""
     (length,) = _HEADER.unpack(_recv_exact(sock, _HEADER.size))
     if length > _MAX_FRAME:
         raise EOFError(f"frame length {length} exceeds the sanity cap")
-    return pickle.loads(_recv_exact(sock, length))
+    blob = _recv_exact(sock, length)
+    try:
+        return pickle.loads(blob)
+    except Exception as exc:  # noqa: BLE001 - corrupt bytes raise anything
+        raise EOFError(
+            f"undecodable frame: {type(exc).__name__}: {exc}"
+        ) from exc
 
 
 def _hydrate(job: Any) -> Any:
@@ -117,8 +128,9 @@ class RemoteExecutor:
     and hands the socket to the supervisor's wait loop.  A worker that
     is down, unreachable, or drops the connection surfaces as
     ``CAUSE_CRASH`` — the supervisor retries with backoff on whichever
-    slot frees up first, so a dead remote degrades a mixed fleet instead
-    of failing the run.
+    slot frees up first.  A remote that cannot be reached at launch is
+    retired for the rest of the run, so a dead remote degrades a mixed
+    fleet instead of failing the run.
 
     One executor is one slot: the listener forks a handler per request,
     but this driver serializes its own dispatch per address.  Pass the
@@ -130,18 +142,19 @@ class RemoteExecutor:
         self.connect_timeout = connect_timeout
 
     def launch(self, runner, job, attempt, chaos) -> Any:
+        sock = None
         try:
             sock = socket.create_connection(
                 (self.host, self.port), timeout=self.connect_timeout
             )
-        except OSError as exc:
-            return _DeadAttempt(self.describe(), exc)
-        try:
             sock.settimeout(None)
             send_frame(sock, (runner, _hydrate(job), attempt, chaos))
         except OSError as exc:
-            sock.close()
-            return _DeadAttempt(self.describe(), exc)
+            if sock is not None:
+                sock.close()
+            return FinishedAttempt(
+                failure=f"{self.describe()} is unreachable: {exc}"
+            )
         return RemoteAttempt(sock, self.describe())
 
     def describe(self) -> str:
@@ -165,69 +178,25 @@ class RemoteAttempt:
     def finish(self) -> None:
         self._sock.close()
 
-    def kill(self) -> None:
-        # Closing the socket is all the supervisor can do from here; the
-        # remote handler dies on its next write (broken pipe).
-        self._sock.close()
+    # Closing the socket is all the supervisor can do to kill an attempt
+    # from here; the remote handler dies on its next write (broken pipe).
+    kill = finish
 
     def crash_detail(self) -> str:
         return (
-            f"{self._peer} closed the connection before delivering "
-            "a result"
+            f"{self._peer} closed the connection or sent an undecodable "
+            "frame before delivering a result"
         )
-
-
-class _DeadAttempt:
-    """A launch that failed before a connection existed.
-
-    Presents an already-readable waitable whose ``receive`` raises
-    ``EOFError``, so the failure flows through the supervisor's normal
-    crash-retry-quarantine path instead of blowing up the launch loop.
-    """
-
-    def __init__(self, peer: str, error: OSError):
-        self._peer = peer
-        self._error = error
-        reader, writer = socket.socketpair()
-        writer.close()  # reader now polls readable (EOF)
-        self._reader = reader
-
-    @property
-    def waitable(self):
-        return self._reader
-
-    def receive(self):
-        raise EOFError(str(self._error))
-
-    def finish(self) -> None:
-        self._reader.close()
-
-    def kill(self) -> None:
-        self._reader.close()
-
-    def crash_detail(self) -> str:
-        return f"{self._peer} is unreachable: {self._error}"
 
 
 def _handle_request(sock: socket.socket) -> None:
     """Run one shard attempt and ship ``(status, payload)`` back."""
     try:
-        try:
-            runner, job, attempt, chaos = recv_frame(sock)
-        except (EOFError, OSError):
-            return  # client gave up before sending a full request
-        if chaos is not None:
-            chaos.inject(job.index, attempt)
-        try:
-            result = runner(job)
-        except Exception as exc:  # noqa: BLE001 - reported in-band
-            payload = ("error", f"{type(exc).__name__}: {exc}")
-        else:
-            payload = ("ok", result)
-        try:
-            send_frame(sock, payload)
-        except OSError:
-            pass  # supervisor timed us out and closed its end
+        send_frame(sock, run_attempt(*recv_frame(sock)))
+    except (EOFError, OSError):
+        # The client gave up before sending a full request, or timed us
+        # out and closed its end.
+        pass
     finally:
         sock.close()
 
@@ -276,32 +245,3 @@ def serve(
             child.join(timeout=30.0)
     return served
 
-
-def main(argv: list[str] | None = None) -> int:  # pragma: no cover
-    """Entry point for ``repro shard-worker`` (thin wrapper)."""
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        description="run a shard-worker listener for remote dispatch"
-    )
-    parser.add_argument("--host", default="127.0.0.1")
-    parser.add_argument("--port", type=int, default=DEFAULT_PORT)
-    parser.add_argument(
-        "--max-requests", type=int, default=None,
-        help="exit after serving this many shard attempts",
-    )
-    args = parser.parse_args(argv)
-
-    def announce(host: str, bound: int) -> None:
-        print(f"shard-worker listening on {host}:{bound}", flush=True)
-
-    served = serve(
-        args.host, args.port,
-        max_requests=args.max_requests, on_ready=announce,
-    )
-    print(f"shard-worker served {served} request(s)", flush=True)
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

@@ -32,7 +32,6 @@ collision-free.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import pickle
 import tempfile
@@ -63,7 +62,6 @@ from repro.simulation.large_scale import SimulationSettings, run_large_scale
 from repro.simulation.result import LargeScaleResult, assemble_result
 from repro.simulation.training import train_default_models
 from repro.simulation.supervisor import (
-    LocalProcessExecutor,
     SupervisionReport,
     SupervisorConfig,
     supervise,
@@ -347,13 +345,6 @@ def _merge_records(
     return merged
 
 
-def _pool_context() -> multiprocessing.context.BaseContext:
-    methods = multiprocessing.get_all_start_methods()
-    return multiprocessing.get_context(
-        "fork" if "fork" in methods else "spawn"
-    )
-
-
 def run_large_scale_sharded(
     dataset: TrajectoryDataset,
     partitioner: DNNPartitioner | list[DNNPartitioner],
@@ -439,8 +430,9 @@ def run_large_scale_sharded(
     ``workers`` local ones; shards are dispatched over TCP with the same
     retry/timeout/quarantine semantics, and local vs remote vs mixed
     fleets export identical bytes.  Repeat an address to run several
-    shards there concurrently.  The wire protocol is pickle — use
-    trusted hosts and links only.
+    shards there concurrently.  An unreachable address is retired after
+    its first failed connect; the local slots carry on.  The wire
+    protocol is pickle — use trusted hosts and links only.
 
     ``profile_path`` profiles the *lowest-index* shard's worker under
     ``cProfile`` and dumps its stats there (merged by the CLI into the
@@ -478,15 +470,8 @@ def run_large_scale_sharded(
             "combined with remote_workers (the profiled shard could be "
             "dispatched to a machine that cannot write the path)"
         )
-    executors = None
-    if remote_workers:
-        # Validate every address before any expensive work.
-        remote_executors = [
-            RemoteExecutor(address) for address in remote_workers
-        ]
-        executors = [
-            LocalProcessExecutor(_pool_context()) for _ in range(workers)
-        ] + remote_executors
+    # Validates every address before any expensive work.
+    remote_slots = [RemoteExecutor(address) for address in remote_workers]
     supervision = supervision or SupervisorConfig()
     # Fail fast on an unusable directory, before the expensive training.
     store = None
@@ -616,12 +601,11 @@ def run_large_scale_sharded(
             _run_shard_job,
             workers=workers,
             config=supervision,
-            mp_context=_pool_context(),
             on_result=spill if store is not None else None,
             # With a store the merge streams from disk; holding every
             # shard result in memory as well would defeat the point.
             keep_results=store is None,
-            executors=executors,
+            remote_slots=remote_slots,
         )
 
         surviving = sorted(completed | set(results))

@@ -1,16 +1,20 @@
 """Shard supervision: retries, timeouts, quarantine, typed failures.
 
 :func:`supervise` replaces the fire-and-forget ``executor.map`` the
-sharded city-scale driver used to fan shards out with: each shard attempt
-runs in its **own disposable worker process** (or in-process when nothing
-needs isolation), and the supervisor
+sharded city-scale driver used to fan shards out with.  Every shard
+attempt goes through one slot loop.  A slot runs one attempt at a time,
+in one of three ways: inline in the calling process when nothing needs
+isolation (:func:`runs_inline`), in its own disposable local worker
+process, or on a remote ``repro shard-worker``
+(:class:`repro.simulation.remote.RemoteExecutor`).  All three run the
+same :func:`run_attempt` body.  The supervisor
 
 * detects crashes (abrupt worker exit — segfault, OOM kill, chaos) and
   hangs (per-shard wall-clock timeout) without taking the run down;
-* retries a failed shard with capped-exponential backoff in a *fresh*
-  process — the shard's deterministic seed makes the retried execution
-  byte-identical to a first-try success, so failures never leak into the
-  merged telemetry;
+* retries a failed shard with capped-exponential backoff (on a process
+  slot, in a *fresh* process) — the shard's deterministic seed makes the
+  retried execution byte-identical to a first-try success, so failures
+  never leak into the merged telemetry;
 * quarantines a shard after ``max_attempts`` failures and either fails
   fast with a typed :class:`ShardError` (shard index + per-attempt
   causes, not a raw multiprocessing traceback) or — under
@@ -28,11 +32,13 @@ as clean runs.
 
 from __future__ import annotations
 
+import heapq
 import multiprocessing
+import socket
 import time
 from dataclasses import dataclass, field
 from multiprocessing import connection as mp_connection
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 from repro.faults.chaos import WorkerChaos
 
@@ -139,48 +145,108 @@ class SupervisionReport:
     retries: int = 0
 
 
-def _process_entry(conn, runner, job, attempt, chaos) -> None:
-    """Worker-process main: (maybe) act out chaos, run the shard, ship
-    the result back over the pipe.  Anything abnormal — an os._exit, a
-    real crash, an exception — is observed by the parent as pipe EOF or
-    process death; exceptions are reported in-band so the parent can
-    distinguish a shard *error* from a worker *crash*."""
+def runs_inline(
+    workers: int, config: SupervisorConfig, remote_slots: Sequence[Any] = ()
+) -> bool:
+    """Does :func:`supervise` run every attempt in the calling process?
+
+    Only a single local worker with nothing needing isolation does:
+    remote slots need real dispatch, and chaos or a timeout needs a
+    process to kill (:attr:`SupervisorConfig.needs_processes`).
+    """
+    return workers == 1 and not remote_slots and not config.needs_processes
+
+
+def run_attempt(runner, job, attempt, chaos) -> tuple[str, Any]:
+    """The attempt body every slot kind runs.
+
+    (Maybe) act out chaos, then run the shard.  An exception is reported
+    in-band as ``("error", detail)`` so the supervisor can tell a shard
+    *error* from a worker *crash*, which it observes as a dead channel.
+    """
     if chaos is not None:
         chaos.inject(job.index, attempt)
     try:
-        result = runner(job)
+        return "ok", runner(job)
     except Exception as exc:  # noqa: BLE001 - reported to the supervisor
-        payload = ("error", f"{type(exc).__name__}: {exc}")
-    else:
-        payload = ("ok", result)
-    conn.send(payload)
+        return "error", f"{type(exc).__name__}: {exc}"
+
+
+def _process_entry(conn, runner, job, attempt, chaos) -> None:
+    """Worker-process main: ship :func:`run_attempt`'s outcome back."""
+    conn.send(run_attempt(runner, job, attempt, chaos))
     conn.close()
 
 
-def _default_context() -> multiprocessing.context.BaseContext:
-    methods = multiprocessing.get_all_start_methods()
-    return multiprocessing.get_context(
-        "fork" if "fork" in methods else "spawn"
-    )
+class FinishedAttempt:
+    """Handle for an attempt that ended before its ``launch`` returned.
+
+    The waitable is an already-readable ``socketpair`` end, so the handle
+    flows through the same wait/receive/finish path as a live one.  An
+    inline attempt carries its outcome.  An attempt its slot could not
+    dispatch at all (an unreachable remote) carries ``failure`` instead:
+    ``receive`` raises ``EOFError``, so it is retried as a crash, and the
+    supervisor retires that slot for the rest of the run.
+    """
+
+    def __init__(self, outcome: Any = None, *, failure: str | None = None):
+        self._outcome = outcome
+        self.failure = failure
+        self._reader, writer = socket.socketpair()
+        writer.close()  # the reader now polls readable (EOF)
+
+    @property
+    def waitable(self):
+        return self._reader
+
+    def receive(self):
+        if self.failure is not None:
+            raise EOFError(self.failure)
+        # Hand the shard result over without keeping a reference to it.
+        outcome, self._outcome = self._outcome, None
+        return outcome
+
+    def finish(self) -> None:
+        self._reader.close()
+
+    kill = finish
+
+    def crash_detail(self) -> str:
+        return self.failure or ""
+
+
+class InlineExecutor:
+    """The slot that runs each attempt in the calling process.
+
+    No fork and no pickling: :meth:`launch` runs :func:`run_attempt` and
+    returns a :class:`FinishedAttempt`.  :func:`runs_inline` picks it only
+    when no chaos and no timeout are configured, so nothing here ever
+    needs killing.
+    """
+
+    def launch(self, runner, job, attempt, chaos) -> FinishedAttempt:
+        return FinishedAttempt(run_attempt(runner, job, attempt, chaos))
 
 
 class LocalProcessExecutor:
-    """One supervision slot backed by disposable local worker processes.
+    """One slot backed by disposable local worker processes.
 
-    This is the default transport: each :meth:`launch` forks/spawns a
+    Each :meth:`launch` forks (or, where fork is unavailable, spawns) a
     fresh process running :func:`_process_entry` and returns a
-    :class:`LocalAttempt` handle.  A slot runs at most one attempt at a
-    time — the supervisor builds one executor per requested worker.
+    :class:`LocalAttempt` handle.
 
-    The executor seam (``launch(runner, job, attempt, chaos) -> handle``
+    The slot seam (``launch(runner, job, attempt, chaos) -> handle``
     where the handle exposes ``waitable``/``receive``/``finish``/
-    ``kill``/``crash_detail``) is what remote dispatch plugs into: see
-    :class:`repro.simulation.remote.RemoteExecutor` for the TCP
-    implementation with identical retry/timeout/quarantine semantics.
+    ``kill``/``crash_detail``) is shared by :class:`InlineExecutor` and
+    :class:`repro.simulation.remote.RemoteExecutor`, so retry, timeout
+    and quarantine semantics are identical on every slot kind.
     """
 
-    def __init__(self, mp_context=None):
-        self._ctx = mp_context or _default_context()
+    def __init__(self):
+        methods = multiprocessing.get_all_start_methods()
+        self._ctx = multiprocessing.get_context(
+            "fork" if "fork" in methods else "spawn"
+        )
 
     def launch(self, runner, job, attempt, chaos) -> "LocalAttempt":
         receiver, sender = self._ctx.Pipe(duplex=False)
@@ -191,9 +257,6 @@ class LocalProcessExecutor:
         process.start()
         sender.close()
         return LocalAttempt(process, receiver)
-
-    def describe(self) -> str:
-        return "local"
 
 
 class LocalAttempt:
@@ -233,7 +296,7 @@ class LocalAttempt:
 
 @dataclass
 class _Active:
-    """One in-flight worker attempt."""
+    """One in-flight attempt."""
 
     job: Any
     attempt: int
@@ -242,109 +305,59 @@ class _Active:
     deadline: float | None
 
 
-class _Tracker:
-    """Shared retry/quarantine bookkeeping for both execution modes."""
+def supervise(
+    jobs,
+    runner: Callable[[Any], Any],
+    *,
+    workers: int = 1,
+    config: SupervisorConfig | None = None,
+    on_result: Callable[[int, Any], None] | None = None,
+    keep_results: bool = True,
+    remote_slots: Sequence[Any] = (),
+) -> tuple[dict[int, Any], SupervisionReport]:
+    """Run every job under supervision; returns (results, report).
 
-    def __init__(self, config: SupervisorConfig):
-        self.config = config
-        self.failures: dict[int, list[ShardFailure]] = {}
-        self.quarantined: list[int] = []
-        self.retries = 0
+    ``jobs`` must expose an ``index`` attribute (the shard index);
+    ``runner(job)`` produces the shard result.  ``on_result`` fires in
+    the supervisor process as each shard completes (checkpoint spilling);
+    with ``keep_results=False`` delivered results are dropped afterwards
+    — ``results[index]`` is then ``None`` — so huge runs never hold every
+    shard's telemetry in memory at once.
 
-    def record_failure(
-        self, index: int, attempt: int, cause: str, detail: str
-    ) -> float | None:
-        """Register one failed attempt.
+    The fleet is one :class:`InlineExecutor` when :func:`runs_inline`
+    holds, otherwise ``workers`` :class:`LocalProcessExecutor` slots
+    followed by ``remote_slots`` (e.g.
+    :class:`~repro.simulation.remote.RemoteExecutor` objects).  A slot
+    holds at most one in-flight attempt.  Which slot runs which shard
+    never affects the results — shards are deterministic and the merge
+    is order-independent — so every fleet exports identical bytes.
 
-        Returns the backoff delay (seconds) before the next attempt, or
-        None when the shard is now quarantined.  Raises
-        :class:`ShardError` on quarantine unless partial merges are
-        allowed.
-        """
-        history = self.failures.setdefault(index, [])
-        history.append(ShardFailure(index, attempt, cause, detail))
-        if len(history) >= self.config.max_attempts:
-            self.quarantined.append(index)
-            if not self.config.allow_partial:
-                raise ShardError(index, tuple(history))
-            return None
-        self.retries += 1
-        return retry_delay(
-            len(history),
-            self.config.backoff_base_seconds,
-            self.config.backoff_cap_seconds,
-        )
-
-    def report(self) -> SupervisionReport:
-        return SupervisionReport(
-            failures={
-                index: tuple(history)
-                for index, history in sorted(self.failures.items())
-            },
-            quarantined=tuple(sorted(self.quarantined)),
-            retries=self.retries,
-        )
-
-
-def _supervise_inprocess(
-    jobs, runner, config: SupervisorConfig, deliver
-) -> _Tracker:
-    """Serial fallback when nothing needs process isolation.
-
-    Retry/quarantine semantics are identical to the process mode — a
-    retried shard re-runs the same deterministic job, so the two modes
-    produce byte-identical results (pinned by the equivalence suites).
+    Raises :class:`ShardError` the moment any shard exhausts its attempts
+    (unless ``config.allow_partial``); already-completed shards will have
+    been delivered through ``on_result`` first.
     """
-    tracker = _Tracker(config)
-    for job in jobs:
-        attempt = 0
-        while True:
-            try:
-                result = runner(job)
-            except Exception as exc:  # noqa: BLE001 - typed + retried
-                delay = tracker.record_failure(
-                    job.index, attempt, CAUSE_ERROR,
-                    f"{type(exc).__name__}: {exc}",
-                )
-                if delay is None:
-                    break  # quarantined under allow_partial
-                if delay > 0:
-                    time.sleep(delay)
-                attempt += 1
-            else:
-                deliver(job.index, result)
-                break
-    return tracker
-
-
-def _supervise_processes(
-    jobs, runner, config: SupervisorConfig, executors, deliver
-) -> _Tracker:
-    """Fan shard attempts out over executor slots.
-
-    Each element of ``executors`` is one concurrency slot (a
-    :class:`LocalProcessExecutor`, a remote executor, or any object with
-    the same ``launch`` contract); a slot holds at most one in-flight
-    attempt.  Which slot runs which shard never affects the results —
-    shards are deterministic and the merge is order-independent — so
-    local, remote, and mixed fleets export identical bytes.
-    """
-    tracker = _Tracker(config)
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    config = config or SupervisorConfig()
+    if runs_inline(workers, config, remote_slots):
+        free: list[Any] = [InlineExecutor()]
+    else:
+        free = [LocalProcessExecutor() for _ in range(workers)]
+        free += remote_slots
+    results: dict[int, Any] = {}
+    failures: dict[int, list[ShardFailure]] = {}
+    quarantined: list[int] = []
     # (ready_at, shard index, attempt, job): retries re-enter with a
     # backoff timestamp; launch order prefers earliest-ready then lowest
-    # shard index.  Scheduling order never affects results — shards are
-    # deterministic and the merge is order-independent.
-    pending: list[tuple[float, int, int, Any]] = [
-        (0.0, job.index, 0, job) for job in jobs
-    ]
+    # shard index.  Scheduling order never affects results.
+    pending = [(0.0, job.index, 0, job) for job in jobs]
+    heapq.heapify(pending)
     active: dict[Any, _Active] = {}
-    free: list[Any] = list(executors)
 
     def launch(job, attempt) -> None:
-        # FIFO slot rotation: a slot that just failed an attempt (e.g. an
-        # unreachable remote) re-enters at the back, so the retry prefers
-        # whichever other slot freed up first instead of bouncing off the
-        # same dead transport until quarantine.
+        # FIFO slot rotation: a slot that just failed an attempt re-enters
+        # at the back, so the retry prefers whichever other slot freed up
+        # first.
         executor = free.pop(0)
         handle = executor.launch(runner, job, attempt, config.chaos)
         deadline = (
@@ -356,29 +369,39 @@ def _supervise_processes(
             job, attempt, handle, executor, deadline
         )
 
-    def fail(entry: _Active, cause: str, detail: str) -> None:
-        delay = tracker.record_failure(
-            entry.job.index, entry.attempt, cause, detail
-        )
-        if delay is not None:
-            pending.append(
-                (
-                    time.monotonic() + delay,
-                    entry.job.index,
-                    entry.attempt + 1,
-                    entry.job,
-                )
-            )
-
     def release(entry: _Active) -> None:
-        free.append(entry.executor)
+        # A slot that could not dispatch at all (an unreachable remote) is
+        # retired for the rest of the run instead of drawing every retry
+        # while the other slots are busy.  Local slots never fail to
+        # dispatch, so at least one always remains.
+        handle = entry.handle
+        if not (isinstance(handle, FinishedAttempt) and handle.failure):
+            free.append(entry.executor)
+
+    def fail(entry: _Active, cause: str, detail: str) -> None:
+        index = entry.job.index
+        history = failures.setdefault(index, [])
+        history.append(ShardFailure(index, entry.attempt, cause, detail))
+        if len(history) < config.max_attempts:
+            delay = retry_delay(
+                len(history),
+                config.backoff_base_seconds,
+                config.backoff_cap_seconds,
+            )
+            ready_at = time.monotonic() + delay
+            heapq.heappush(
+                pending, (ready_at, index, entry.attempt + 1, entry.job)
+            )
+            return
+        quarantined.append(index)
+        if not config.allow_partial:
+            raise ShardError(index, tuple(history))
 
     try:
         while pending or active:
             now = time.monotonic()
-            pending.sort(key=lambda entry: (entry[0], entry[1]))
             while pending and free and pending[0][0] <= now:
-                _, _, attempt, job = pending.pop(0)
+                _, _, attempt, job = heapq.heappop(pending)
                 launch(job, attempt)
             if not active:
                 # Everything runnable is backing off; sleep to the
@@ -401,7 +424,10 @@ def _supervise_processes(
                 entry.handle.finish()
                 release(entry)
                 if status == "ok":
-                    deliver(entry.job.index, payload)
+                    index = entry.job.index
+                    if on_result is not None:
+                        on_result(index, payload)
+                    results[index] = payload if keep_results else None
                 else:
                     fail(entry, CAUSE_ERROR, payload)
             now = time.monotonic()
@@ -420,59 +446,13 @@ def _supervise_processes(
         # worker so nothing leaks past the supervisor.
         for entry in active.values():
             entry.handle.kill()
-    return tracker
-
-
-def supervise(
-    jobs,
-    runner: Callable[[Any], Any],
-    *,
-    workers: int = 1,
-    config: SupervisorConfig | None = None,
-    mp_context=None,
-    on_result: Callable[[int, Any], None] | None = None,
-    keep_results: bool = True,
-    executors=None,
-) -> tuple[dict[int, Any], SupervisionReport]:
-    """Run every job under supervision; returns (results, report).
-
-    ``jobs`` must expose an ``index`` attribute (the shard index);
-    ``runner(job)`` produces the shard result.  ``on_result`` fires in
-    the supervisor process as each shard completes (checkpoint spilling);
-    with ``keep_results=False`` delivered results are dropped afterwards
-    — ``results[index]`` is then ``None`` — so huge runs never hold every
-    shard's telemetry in memory at once.
-
-    ``executors`` overrides the transport: a sequence of slot objects
-    (each runs one attempt at a time) replacing the default fleet of
-    ``workers`` :class:`LocalProcessExecutor` slots.  Passing executors
-    always engages the slot loop — remote slots need real dispatch even
-    when one local worker alone would have run in-process.
-
-    Raises :class:`ShardError` the moment any shard exhausts its attempts
-    (unless ``config.allow_partial``); already-completed shards will have
-    been delivered through ``on_result`` first.
-    """
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    config = config or SupervisorConfig()
-    jobs = sorted(jobs, key=lambda job: job.index)
-    results: dict[int, Any] = {}
-
-    def deliver(index: int, result: Any) -> None:
-        if on_result is not None:
-            on_result(index, result)
-        results[index] = result if keep_results else None
-
-    if executors is None and workers == 1 and not config.needs_processes:
-        tracker = _supervise_inprocess(jobs, runner, config, deliver)
-    else:
-        if executors is None:
-            ctx = mp_context or _default_context()
-            executors = [LocalProcessExecutor(ctx) for _ in range(workers)]
-        if not executors:
-            raise ValueError("at least one executor slot is required")
-        tracker = _supervise_processes(
-            jobs, runner, config, executors, deliver
-        )
-    return results, tracker.report()
+    # Every failure but a quarantined shard's last one was retried.
+    report = SupervisionReport(
+        failures={
+            index: tuple(history)
+            for index, history in sorted(failures.items())
+        },
+        quarantined=tuple(sorted(quarantined)),
+        retries=sum(map(len, failures.values())) - len(quarantined),
+    )
+    return results, report

@@ -580,7 +580,10 @@ class TestRemoteDispatch:
         # crash path: an already-readable handle whose receive raises.
         import socket
 
-        from repro.simulation.remote import RemoteExecutor, _DeadAttempt
+        from repro.simulation.remote import RemoteExecutor
+        from repro.simulation.supervisor import (
+            FinishedAttempt as _DeadAttempt,
+        )
 
         probe = socket.socket()
         probe.bind(("127.0.0.1", 0))
@@ -605,6 +608,11 @@ class TestRemoteDispatch:
             parse_address("edge-host:notaport")
         with pytest.raises(ValueError, match="port out of range"):
             parse_address("edge-host:70000")
+        # A missing host must fail here, not as crash-retries after
+        # training has already run.
+        for address in (":7077", "", ":"):
+            with pytest.raises(ValueError, match="empty host"):
+                parse_address(address)
 
     def test_frame_roundtrip_and_truncation(self):
         import socket
