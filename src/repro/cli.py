@@ -20,6 +20,7 @@ benchmarks; see benchmarks/ for the full paper-reproduction harness.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -43,16 +44,36 @@ from repro.profiling.profiler import ExecutionProfile
 ALL_MODELS = {**MODEL_BUILDERS, **EXTRA_MODEL_BUILDERS}
 
 
-def positive_int(text: str) -> int:
-    """argparse type: a strictly positive integer, rejected with a clear
-    one-line error instead of a deep simulation traceback."""
+def _int_at_least(text: str, low: int, noun: str) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    if value < 1:
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be a {noun} (got {value})")
+    return value
+
+
+def positive_int(text: str) -> int:
+    """argparse type: a strictly positive integer, rejected with a clear
+    one-line error instead of a deep simulation traceback."""
+    return _int_at_least(text, 1, "positive integer")
+
+
+def non_negative_int(text: str) -> int:
+    """argparse type: an integer >= 0 (numpy refuses negative seeds)."""
+    return _int_at_least(text, 0, "non-negative integer")
+
+
+def non_negative_float(text: str) -> float:
+    """argparse type: a finite float >= 0; NaN and infinity are refused."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
+    if not 0 <= value < math.inf:
         raise argparse.ArgumentTypeError(
-            f"must be a positive integer (got {value})"
+            f"must be a finite non-negative number (got {text})"
         )
     return value
 
@@ -223,6 +244,18 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if (
+        args.profile_top is not None
+        and sharded
+        and not runs_inline(args.workers, supervision, args.remote_worker or ())
+    ):
+        print(
+            "error: --profile sees only this process; run the shards in it "
+            "with --workers 1 and no --shard-timeout, chaos or "
+            "--remote-worker",
+            file=sys.stderr,
+        )
+        return 2
     partitioner = _make_partitioner(args.model, config)
     dataset = _make_dataset(args.dataset, args.users, args.dataset_steps, args.seed)
     settings = SimulationSettings(
@@ -233,33 +266,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         faults=profile,
         overload=overload,
     )
-    shard_profile_path = None
-    if args.profile_top is not None and sharded:
-        if args.remote_worker:
-            print(
-                "error: --profile cannot follow shards onto remote "
-                "workers; drop --remote-worker, or profile locally with "
-                "--workers 1 --profile",
-                file=sys.stderr,
-            )
-            return 2
-        if not runs_inline(args.workers, supervision):
-            # The simulation work happens in worker processes the parent
-            # profiler cannot see: designate the lowest-index shard's
-            # worker, dump its cProfile stats to a scratch file, and
-            # merge them into the parent profile below.
-            import os
-            import tempfile
-
-            fd, shard_profile_path = tempfile.mkstemp(
-                prefix="repro-shard-profile-", suffix=".pstats"
-            )
-            os.close(fd)
     profiler = None
     if args.profile_top is not None:
-        # Parent-process view: setup, supervision, and the streaming
-        # merge for sharded runs; the whole simulation otherwise.  The
-        # shard-worker dump above adds the worker-side view.
+        # Every shard runs in this process (checked above), so one
+        # profile covers training, the shards and the merge.
         import cProfile
 
         profiler = cProfile.Profile()
@@ -279,7 +289,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 model_cache_dir=args.model_cache,
                 spill_datasets=args.spill_datasets,
                 remote_workers=tuple(args.remote_worker or ()),
-                profile_path=shard_profile_path,
             )
         except ShardError as exc:
             print(f"error: {exc}", file=sys.stderr)
@@ -301,32 +310,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     else:
         result = run_large_scale(dataset, partitioner, settings, config=config)
     if profiler is not None:
-        import io
-        import os
         import pstats
 
         profiler.disable()
-        buffer = io.StringIO()
-        stats = pstats.Stats(profiler, stream=buffer)
-        merged_worker = False
-        if shard_profile_path is not None:
-            try:
-                if os.path.getsize(shard_profile_path) > 0:
-                    stats.add(shard_profile_path)
-                    merged_worker = True
-            except OSError:
-                pass
-            os.remove(shard_profile_path)
-        stats.strip_dirs().sort_stats("cumulative").print_stats(
-            args.profile_top
-        )
-        scope = (
-            "parent + shard-0 worker, merged" if merged_worker else "parent"
-        )
-        print(
-            f"profile ({scope}; top {args.profile_top} by cumulative time):"
-        )
-        print(buffer.getvalue().rstrip())
+        print(f"profile (top {args.profile_top} by cumulative time):")
+        pstats.Stats(profiler, stream=sys.stdout).strip_dirs().sort_stats(
+            "cumulative"
+        ).print_stats(args.profile_top)
     if args.telemetry:
         assert result.telemetry is not None
         meta = {
@@ -536,14 +526,15 @@ def build_parser() -> argparse.ArgumentParser:
                           choices=sorted(ALL_MODELS))
     simulate.add_argument("--policy", default="perdnn",
                           choices=[p.value for p in MigrationPolicy])
-    simulate.add_argument("--radius", type=float, default=100.0)
-    simulate.add_argument("--hysteresis", type=float, default=0.0,
+    simulate.add_argument("--radius", type=non_negative_float, default=100.0)
+    simulate.add_argument("--hysteresis", type=non_negative_float,
+                          default=0.0,
                           help="handover hysteresis margin in metres")
     simulate.add_argument("--steps", type=positive_int, default=60,
                           help="simulated intervals (cap)")
     simulate.add_argument("--users", type=positive_int, default=20)
     simulate.add_argument("--dataset-steps", type=positive_int, default=300)
-    simulate.add_argument("--seed", type=int, default=0)
+    simulate.add_argument("--seed", type=non_negative_int, default=0)
     simulate.add_argument("--faults", default="none", metavar="PROFILE",
                           help="fault-injection profile (default: none; "
                                "see `repro faults --list`)")
@@ -589,9 +580,9 @@ def build_parser() -> argparse.ArgumentParser:
                           metavar="N", dest="profile_top",
                           help="run under cProfile and print the top N "
                                "functions by cumulative time (sharded "
-                               "multi-worker runs also profile the "
-                               "lowest-index shard's worker and merge "
-                               "the stats)")
+                               "runs need --workers 1 without "
+                               "--shard-timeout, chaos or --remote-worker, "
+                               "so every shard runs in this process)")
     simulate.add_argument("--allow-partial", action="store_true",
                           help="merge without shards that exhausted their "
                                "retry budget instead of failing the run; "
@@ -663,7 +654,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--repeats", type=positive_int, default=None,
                        help="timing repeats per benchmark "
                             "(default: 5, or 3 with --quick)")
-    bench.add_argument("--seed", type=int, default=0)
+    bench.add_argument("--seed", type=non_negative_int, default=0)
     bench.add_argument("--only", metavar="CASE", default=None,
                        help="run a single benchmark case "
                             f"({', '.join(BENCH_CASES)}); the document "
@@ -676,7 +667,7 @@ def build_parser() -> argparse.ArgumentParser:
                             choices=("kaist", "geolife"))
     predictors.add_argument("--users", type=positive_int, default=20)
     predictors.add_argument("--dataset-steps", type=positive_int, default=300)
-    predictors.add_argument("--seed", type=int, default=0)
+    predictors.add_argument("--seed", type=non_negative_int, default=0)
 
     return parser
 

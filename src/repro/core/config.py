@@ -48,13 +48,13 @@ class PerDNNConfig:
             raise ValueError("backhaul_bps must be positive")
         if self.backhaul_hop_latency_s < 0:
             raise ValueError("backhaul_hop_latency_s must be non-negative")
-        if self.handover_hysteresis_m < 0:
+        if not self.handover_hysteresis_m >= 0:  # NaN too
             raise ValueError("handover_hysteresis_m must be non-negative")
         if self.query_gap_seconds < 0:
             raise ValueError("query_gap_seconds must be non-negative")
         if self.prediction_history < 1:
             raise ValueError("prediction_history must be >= 1")
-        if self.migration_radius_m < 0:
+        if not self.migration_radius_m >= 0:  # NaN too
             raise ValueError("migration_radius_m must be non-negative")
         if self.ttl_intervals < 1:
             raise ValueError("ttl_intervals must be >= 1")

@@ -17,7 +17,6 @@ and the mobility predictor.  Every simulation interval it:
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Mapping
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -47,17 +46,6 @@ class MigrationPolicy(str, Enum):
     OPTIMAL = "optimal"  # oracle: every server always holds every model
     ROUTING = "routing"  # §3.A alternative: stay on the first server,
     # relay queries over the backhaul as the user moves
-
-
-@dataclass(frozen=True)
-class MigrationRecord:
-    """One proactive backhaul transfer."""
-
-    client_id: int
-    source_server: int
-    target_server: int
-    nbytes: float
-    interval: int
 
 
 class MasterServer:
@@ -93,7 +81,6 @@ class MasterServer:
         self.fault_schedule = fault_schedule
         self._rng = rng
         self._servers: dict[int, EdgeServer] = {}
-        self.migrations: list[MigrationRecord] = []
         self._slowdown_cache: dict[int, float] = {}
 
     # ------------------------------------------------------------------
@@ -506,7 +493,6 @@ class MasterServer:
         # Pass 4: order-sensitive replay in (client, target) order.
         ttl_intervals = self.config.ttl_intervals
         traffic_meter = self.traffic_meter
-        migrations = self.migrations
         trace = telemetry.trace if telemetry is not None else None
         counter_count = counter_bytes = None
         truncations = 0
@@ -558,15 +544,6 @@ class MasterServer:
                 traffic_meter.record(
                     interval, source.server_id, target_id, delta
                 )
-            migrations.append(
-                MigrationRecord(
-                    client_id=client_id,
-                    source_server=source.server_id,
-                    target_server=target_id,
-                    nbytes=delta,
-                    interval=interval,
-                )
-            )
             if registry is not None:
                 if counter_count is None:
                     counter_count = registry.counter("migration.count")

@@ -23,6 +23,7 @@ how tests and the CI smoke drive a shard into quarantine on purpose.
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from dataclasses import dataclass
@@ -73,8 +74,8 @@ class WorkerChaos:
             raise ValueError("kill_rate + hang_rate must not exceed 1")
         if self.max_injections_per_shard < 0:
             raise ValueError("max_injections_per_shard must be >= 0")
-        if self.hang_seconds <= 0:
-            raise ValueError("hang_seconds must be positive")
+        if not 0 < self.hang_seconds < math.inf:
+            raise ValueError("hang_seconds must be positive and finite")
         object.__setattr__(
             self,
             "always_kill",

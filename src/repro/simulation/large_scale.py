@@ -97,7 +97,7 @@ class SimulationSettings:
             raise ValueError("replay_fraction must be in (0, 1)")
         if self.max_steps is not None and self.max_steps < 1:
             raise ValueError("max_steps must be >= 1 (or None for all)")
-        if self.migration_radius_m < 0:
+        if not self.migration_radius_m >= 0:  # NaN too
             raise ValueError("migration_radius_m must be non-negative")
         if self.crowded_byte_budget < 0:
             raise ValueError("crowded_byte_budget must be non-negative")

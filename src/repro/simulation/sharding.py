@@ -185,7 +185,6 @@ class _ShardJob:
     config: PerDNNConfig
     record_events: bool
     dataset_path: str | None = None  # spilled sub-dataset pickle
-    profile_path: str | None = None  # dump this worker's cProfile here
 
 
 def _run_shard_job(job: _ShardJob) -> LargeScaleResult:
@@ -196,37 +195,25 @@ def _run_shard_job(job: _ShardJob) -> LargeScaleResult:
     shard job.  A spilled job carries only ``dataset_path``: the worker
     loads its own subset from disk, so the parent never held it.
     """
-    profiler = None
-    try:
-        dataset = job.dataset
-        if dataset is None:
-            if job.dataset_path is None:
-                raise ValueError(
-                    f"shard {job.index} has neither an in-memory dataset "
-                    "nor a dataset_path"
-                )
-            dataset = ShardDatasetStore.read(job.dataset_path)
-        partitioner = pickle.loads(job.partitioner_blob)
-        predictor, contention_estimator = pickle.loads(job.models_blob)
-        telemetry = Telemetry.create(record_events=job.record_events)
-        if job.profile_path is not None:
-            import cProfile
-
-            profiler = cProfile.Profile()
-            profiler.enable()
-        return run_large_scale(
-            dataset,
-            partitioner,
-            job.settings,
-            config=job.config,
-            predictor=predictor,
-            contention_estimator=contention_estimator,
-            telemetry=telemetry,
-        )
-    finally:
-        if profiler is not None:
-            profiler.disable()
-            profiler.dump_stats(job.profile_path)
+    dataset = job.dataset
+    if dataset is None:
+        if job.dataset_path is None:
+            raise ValueError(
+                f"shard {job.index} has neither an in-memory dataset "
+                "nor a dataset_path"
+            )
+        dataset = ShardDatasetStore.read(job.dataset_path)
+    partitioner = pickle.loads(job.partitioner_blob)
+    predictor, contention_estimator = pickle.loads(job.models_blob)
+    return run_large_scale(
+        dataset,
+        partitioner,
+        job.settings,
+        config=job.config,
+        predictor=predictor,
+        contention_estimator=contention_estimator,
+        telemetry=Telemetry.create(record_events=job.record_events),
+    )
 
 
 def _sub_dataset(
@@ -361,7 +348,6 @@ def run_large_scale_sharded(
     model_cache_dir: str | os.PathLike | None = None,
     spill_datasets: bool = False,
     remote_workers: Sequence[str] = (),
-    profile_path: str | os.PathLike | None = None,
 ) -> LargeScaleResult:
     """Run the large-scale simulation sharded over supervised workers.
 
@@ -434,13 +420,6 @@ def run_large_scale_sharded(
     its first failed connect; the local slots carry on.  The wire
     protocol is pickle — use trusted hosts and links only.
 
-    ``profile_path`` profiles the *lowest-index* shard's worker under
-    ``cProfile`` and dumps its stats there (merged by the CLI into the
-    parent profile) — this is how ``--profile`` stays useful when the
-    simulation work happens in worker processes.  Profiling changes no
-    results; it is refused alongside ``remote_workers`` because the
-    designated shard could land on a machine that cannot see the path.
-
     The returned result is the deterministic, order-independent merge of
     the per-shard results; ``result.extras["sharding"]`` records the
     decomposition and the supervision outcome.  Exported telemetry bytes
@@ -464,12 +443,6 @@ def run_large_scale_sharded(
     if resume and checkpoint_dir is None:
         raise ValueError("resume=True requires a checkpoint_dir")
     remote_workers = list(remote_workers or ())
-    if profile_path is not None and remote_workers:
-        raise ValueError(
-            "profile_path designates a local shard worker; it cannot be "
-            "combined with remote_workers (the profiled shard could be "
-            "dispatched to a machine that cannot write the path)"
-        )
     # Validates every address before any expensive work.
     remote_slots = [RemoteExecutor(address) for address in remote_workers]
     supervision = supervision or SupervisorConfig()
@@ -586,8 +559,6 @@ def run_large_scale_sharded(
                     dataset_path=job_path,
                 )
             )
-        if profile_path is not None and jobs:
-            jobs[0] = replace(jobs[0], profile_path=os.fspath(profile_path))
         if spill_datasets:
             # Every subset is on disk; the driver no longer needs the
             # population (the caller may drop its own reference too).

@@ -33,6 +33,7 @@ as clean runs.
 from __future__ import annotations
 
 import heapq
+import math
 import multiprocessing
 import socket
 import time
@@ -109,12 +110,18 @@ class SupervisorConfig:
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
-        if self.timeout_seconds is not None and self.timeout_seconds <= 0:
-            raise ValueError("timeout_seconds must be positive (or None)")
-        if self.backoff_base_seconds < 0:
-            raise ValueError("backoff_base_seconds must be >= 0")
-        if self.backoff_cap_seconds < 0:
-            raise ValueError("backoff_cap_seconds must be >= 0")
+        # Chained comparisons are False for NaN: a NaN deadline would
+        # never pass, silently disabling the hang guard.
+        if self.timeout_seconds is not None and not (
+            0 < self.timeout_seconds < math.inf
+        ):
+            raise ValueError(
+                "timeout_seconds must be positive and finite (or None)"
+            )
+        if not 0 <= self.backoff_base_seconds < math.inf:
+            raise ValueError("backoff_base_seconds must be finite and >= 0")
+        if not 0 <= self.backoff_cap_seconds < math.inf:
+            raise ValueError("backoff_cap_seconds must be finite and >= 0")
 
     @property
     def needs_processes(self) -> bool:

@@ -11,6 +11,7 @@ from repro.geo.geometry import euclidean
 from repro.geo.hexgrid import HexCell, HexGrid
 from repro.geo.wifi import EdgeServerRegistry
 from repro.mobility.trajectory import Trajectory
+from repro.telemetry import Telemetry
 
 
 class TestConfig:
@@ -29,6 +30,9 @@ class TestConfig:
             dict(query_gap_seconds=-1.0),
             dict(prediction_history=0),
             dict(migration_radius_m=-1.0),
+            dict(migration_radius_m=float("nan")),
+            dict(handover_hysteresis_m=-1.0),
+            dict(handover_hysteresis_m=float("nan")),
             dict(ttl_intervals=0),
             dict(hit_byte_fraction=0.0),
             dict(hit_byte_fraction=1.5),
@@ -177,15 +181,17 @@ class TestMasterServer:
             rng=rng,
             policy=MigrationPolicy.PERDNN,
             predictor=FixedPredictor(grid.center(cells[2])),
+            telemetry=Telemetry.create(),
         )
         defaults.update(kwargs)
         return MasterServer(**defaults)
 
     def migrate(self, master, client, interval):
-        """One proactive pass for ``client``; the records it appended."""
-        before = len(master.migrations)
+        """One proactive pass for ``client``; the transfers it traced."""
+        trace = master.telemetry.trace
+        before = len(trace.of_kind("migration"))
         master.proactive_migrate_batch([client], interval)
-        return master.migrations[before:]
+        return trace.of_kind("migration")[before:]
 
     def make_client(self, grid, cells):
         points = np.array(

@@ -39,7 +39,7 @@ import pytest
 from repro.core.association import decide_association
 from repro.core.client import MobileClient
 from repro.core.edge_server import EdgeServer
-from repro.core.master import MasterServer, MigrationPolicy, MigrationRecord
+from repro.core.master import MasterServer, MigrationPolicy
 from repro.core.routing import routed_tensors, routing_overhead_seconds
 from repro.faults import record_fault
 from repro.geo.wifi import EdgeServerRegistry
@@ -540,16 +540,16 @@ def byte_budget(
 
 def proactive_migrate(
     self: MasterServer, client: MobileClient, interval: int
-) -> list[MigrationRecord]:
+) -> None:
     """Predict the client's next location and push layers ahead (§3.B.2)."""
     if self.policy is not MigrationPolicy.PERDNN:
-        return []
+        return
     assert self.predictor is not None
     window = client.recent_window()
     if window is None or client.current_server is None:
-        return []
+        return
     if not self.server_available(client.current_server, interval):
-        return []  # the source is dark; nothing can be pushed from it
+        return  # the source is dark; nothing can be pushed from it
     if (
         self.fault_schedule is not None
         and not self.fault_schedule.backhaul_available(interval)
@@ -563,9 +563,9 @@ def proactive_migrate(
                 server_id=client.current_server,
                 client_id=client.client_id,
             )
-        return []
+        return
     predicted = self.predictor.predict_point(window)
-    return migrate_to_predicted(self, client, interval, predicted)
+    migrate_to_predicted(self, client, interval, predicted)
 
 
 def proactive_migrate_batch(
@@ -623,7 +623,7 @@ def migrate_to_predicted(
     interval: int,
     predicted: tuple[float, float],
     targets: list[int] | None = None,
-) -> list[MigrationRecord]:
+) -> None:
     """Transfer layers toward one client's predicted next location.
 
     ``targets`` lets the batched caller hand in a precomputed
@@ -637,7 +637,7 @@ def migrate_to_predicted(
     version = client.model_version
     source_bytes = source.cached_bytes(client.client_id, version)
     if source_bytes <= 0:
-        return []  # nothing to send yet (client still uploading)
+        return  # nothing to send yet (client still uploading)
     backhaul_factor = (
         self.fault_schedule.backhaul_factor(interval)
         if self.fault_schedule is not None else 1.0
@@ -661,7 +661,6 @@ def migrate_to_predicted(
         live_targets.append(self.server(target_id))
     slowdowns = self.estimate_slowdowns(live_targets)
     partition = self.partitioner_for(client.client_id).partition
-    records: list[MigrationRecord] = []
     for target in live_targets:
         target_id = target.server_id
         # Future partitioning plan, with the *current* GPU workload of
@@ -732,15 +731,6 @@ def migrate_to_predicted(
             self.traffic_meter.record(
                 interval, source.server_id, target_id, delta
             )
-        record = MigrationRecord(
-            client_id=client.client_id,
-            source_server=source.server_id,
-            target_server=target_id,
-            nbytes=delta,
-            interval=interval,
-        )
-        records.append(record)
-        self.migrations.append(record)
         if self.telemetry is not None:
             self.telemetry.registry.counter("migration.count").inc()
             self.telemetry.registry.counter("migration.bytes").inc(delta)
@@ -753,7 +743,6 @@ def migrate_to_predicted(
                     nbytes=delta,
                 )
             )
-    return records
 
 
 # ----------------------------------------------------------------------

@@ -126,3 +126,12 @@ class TestReplayFraction:
             SimulationSettings(
                 policy=MigrationPolicy.NONE, replay_fraction=fraction
             )
+
+
+class TestSettingsValidation:
+    @pytest.mark.parametrize("radius", [-1.0, float("nan")])
+    def test_bad_migration_radius_rejected(self, radius):
+        with pytest.raises(ValueError, match="migration_radius_m"):
+            SimulationSettings(
+                policy=MigrationPolicy.NONE, migration_radius_m=radius
+            )

@@ -73,6 +73,12 @@ class TestConfigValidation:
             dict(timeout_seconds=-1.0),
             dict(backoff_base_seconds=-0.1),
             dict(backoff_cap_seconds=-0.1),
+            dict(timeout_seconds=float("nan")),
+            dict(timeout_seconds=float("inf")),
+            dict(backoff_base_seconds=float("nan")),
+            dict(backoff_base_seconds=float("inf")),
+            dict(backoff_cap_seconds=float("nan")),
+            dict(backoff_cap_seconds=float("inf")),
         ],
     )
     def test_invalid_rejected(self, kwargs):
@@ -98,6 +104,9 @@ class TestChaosSchedule:
             WorkerChaos(kill_rate=0.6, hang_rate=0.6)
         with pytest.raises(ValueError):
             WorkerChaos(hang_seconds=0.0)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                WorkerChaos(hang_seconds=bad)
 
     def test_deterministic_and_seed_sensitive(self):
         a = WorkerChaos(seed=1, kill_rate=0.5, hang_rate=0.3,

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import cli
 from repro.cli import build_parser, main
 
 
@@ -86,6 +87,27 @@ class TestParser:
     def test_faults_command_parses(self):
         assert build_parser().parse_args(["faults"]).command == "faults"
         assert build_parser().parse_args(["faults", "--list"]).list
+
+    @pytest.mark.parametrize("command", ["simulate", "predictors", "bench"])
+    def test_seed_must_be_non_negative(self, capsys, command):
+        # numpy refuses negative seeds deep inside the run.
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([command, "--seed", "-1"])
+        assert exc.value.code == 2
+        assert "non-negative integer" in capsys.readouterr().err
+        assert build_parser().parse_args([command, "--seed", "0"]).seed == 0
+
+    @pytest.mark.parametrize("flag", ["--radius", "--hysteresis"])
+    @pytest.mark.parametrize("value", ["-5", "nan", "inf"])
+    def test_simulate_distances_must_be_finite_non_negative(
+        self, capsys, flag, value
+    ):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["simulate", flag, value])
+        assert exc.value.code == 2
+        assert "finite non-negative number" in capsys.readouterr().err
+        args = build_parser().parse_args(["simulate", flag, "0"])
+        assert getattr(args, flag[2:]) == 0.0
 
 
 class TestCommands:
@@ -289,3 +311,56 @@ class TestShardedSimulate:
         doc = json.loads(path.read_text())
         assert doc["meta"]["shard_size"] == 2
         assert "workers" not in doc["meta"]
+
+
+class TestProfile:
+    """``--profile`` profiles the calling process only, so a sharded run
+    must keep every shard in it (one worker, nothing to kill)."""
+
+    RUN = [
+        "simulate", "--model", "mobilenet", "--steps", "4", "--users", "8",
+        "--dataset-steps", "40",
+    ]
+
+    def test_unsharded_run_prints_table(self, capsys):
+        assert main([*self.RUN, "--profile", "5"]) == 0
+        out = capsys.readouterr().out
+        assert "profile (top 5 by cumulative time):" in out
+        assert "(run_large_scale)" in out
+        assert "hit ratio" in out
+
+    def test_inline_sharded_run_prints_table(self, capsys):
+        assert main([*self.RUN, "--shard-size", "4", "--profile", "5"]) == 0
+        out = capsys.readouterr().out
+        assert "profile (top 5 by cumulative time):" in out
+        assert "run_large_scale" in out
+        assert "sharding:" in out
+
+    def test_inline_sharded_profile_sees_the_shards(self, capsys):
+        # A limit past the function count lists every profiled function.
+        assert main([*self.RUN, "--shard-size", "4", "--profile", "5000"]) == 0
+        out = capsys.readouterr().out
+        assert "(_run_shard_job)" in out
+        assert "(run_large_scale)" in out
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--workers", "2"],
+            ["--shard-size", "4", "--shard-timeout", "30"],
+            ["--shard-size", "4", "--chaos-kill", "0.5"],
+            ["--remote-worker", "127.0.0.1:1"],
+        ],
+    )
+    def test_process_fleets_refused_before_any_work(
+        self, capsys, monkeypatch, flags
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("refusal must come before any set-up")
+
+        monkeypatch.setattr(cli, "_make_partitioner", never)
+        monkeypatch.setattr(cli, "_make_dataset", never)
+        assert main([*self.RUN, *flags, "--profile", "5"]) == 2
+        captured = capsys.readouterr()
+        assert "--workers 1" in captured.err
+        assert captured.out == ""
