@@ -65,17 +65,29 @@ def non_negative_int(text: str) -> int:
     return _int_at_least(text, 0, "non-negative integer")
 
 
-def non_negative_float(text: str) -> float:
-    """argparse type: a finite float >= 0; NaN and infinity are refused."""
+def _float_within(text: str, low: float, high: float, noun: str) -> float:
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
-    if not 0 <= value < math.inf:
-        raise argparse.ArgumentTypeError(
-            f"must be a finite non-negative number (got {text})"
-        )
+    if not (math.isfinite(value) and low <= value <= high):
+        raise argparse.ArgumentTypeError(f"must be {noun} (got {text})")
     return value
+
+
+def non_negative_float(text: str) -> float:
+    """argparse type: a finite float >= 0; NaN and infinity are refused."""
+    return _float_within(text, 0.0, math.inf, "a finite non-negative number")
+
+
+def slowdown_factor(text: str) -> float:
+    """argparse type: a finite GPU slowdown factor >= 1."""
+    return _float_within(text, 1.0, math.inf, "a finite number >= 1")
+
+
+def unit_fraction(text: str) -> float:
+    """argparse type: a finite share in [0, 1]."""
+    return _float_within(text, 0.0, 1.0, "a number in [0, 1]")
 
 
 def _make_partitioner(model: str, config: PerDNNConfig) -> DNNPartitioner:
@@ -136,6 +148,13 @@ def cmd_partition(args: argparse.Namespace) -> int:
 def cmd_handoff(args: argparse.Namespace) -> int:
     from repro.simulation.single_client import simulate_handoff
 
+    if args.switch_after >= args.queries:
+        print(
+            f"error: --switch-after ({args.switch_after}) must be below "
+            f"--queries ({args.queries})",
+            file=sys.stderr,
+        )
+        return 2
     config = PerDNNConfig()
     partitioner = _make_partitioner(args.model, config)
     total = partitioner.partition(1.0).schedule.total_bytes
@@ -219,7 +238,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         or args.shard_size is not None
         or args.checkpoint_dir is not None
         or args.spill_datasets
-        or bool(args.remote_worker)
     )
     sharded_only = {
         "--resume": args.resume,
@@ -247,12 +265,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if (
         args.profile_top is not None
         and sharded
-        and not runs_inline(args.workers, supervision, args.remote_worker or ())
+        and not runs_inline(args.workers, supervision)
     ):
         print(
             "error: --profile sees only this process; run the shards in it "
-            "with --workers 1 and no --shard-timeout, chaos or "
-            "--remote-worker",
+            "with --workers 1 and no --shard-timeout or chaos",
             file=sys.stderr,
         )
         return 2
@@ -288,7 +305,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 resume=args.resume,
                 model_cache_dir=args.model_cache,
                 spill_datasets=args.spill_datasets,
-                remote_workers=tuple(args.remote_worker or ()),
             )
         except ShardError as exc:
             print(f"error: {exc}", file=sys.stderr)
@@ -356,9 +372,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         if info.get("spill_datasets"):
             print("dataset spill:      on (per-shard subsets streamed "
                   "from disk)")
-        if info.get("remote_workers"):
-            print(f"remote workers:     "
-                  f"{', '.join(info['remote_workers'])}")
         if info.get("retries"):
             print(f"shard retries:      {info['retries']}")
         if info.get("resumed_shards"):
@@ -405,28 +418,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_faults(args: argparse.Namespace) -> int:
     _print_profiles(sys.stdout)
-    return 0
-
-
-def cmd_shard_worker(args: argparse.Namespace) -> int:
-    from repro.simulation.remote import DEFAULT_PORT, serve
-
-    def announce(host: str, port: int) -> None:
-        print(f"shard-worker listening on {host}:{port}", flush=True)
-
-    try:
-        served = serve(
-            args.host,
-            DEFAULT_PORT if args.port is None else args.port,
-            max_requests=args.max_requests,
-            on_ready=announce,
-        )
-    except OSError as exc:
-        print(f"error: cannot listen: {exc}", file=sys.stderr)
-        return 1
-    except KeyboardInterrupt:
-        return 130
-    print(f"shard-worker served {served} request(s)")
     return 0
 
 
@@ -506,7 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
     partition = sub.add_parser("partition", help="partition a model")
     partition.add_argument("--model", default="inception",
                            choices=sorted(ALL_MODELS))
-    partition.add_argument("--slowdown", type=float, default=1.0,
+    partition.add_argument("--slowdown", type=slowdown_factor, default=1.0,
                            help="server GPU contention factor (>= 1)")
     partition.add_argument("--verbose", action="store_true",
                            help="print the full upload schedule")
@@ -514,10 +505,12 @@ def build_parser() -> argparse.ArgumentParser:
     handoff = sub.add_parser("handoff", help="single-client server change")
     handoff.add_argument("--model", default="inception",
                          choices=sorted(ALL_MODELS))
-    handoff.add_argument("--fraction", type=float, default=0.0,
+    handoff.add_argument("--fraction", type=unit_fraction, default=0.0,
                          help="share of the model migrated ahead (0..1)")
-    handoff.add_argument("--queries", type=int, default=40)
-    handoff.add_argument("--switch-after", type=int, default=20)
+    handoff.add_argument("--queries", type=positive_int, default=40)
+    handoff.add_argument("--switch-after", type=positive_int, default=20,
+                         help="queries served before the server change "
+                              "(below --queries)")
 
     simulate = sub.add_parser("simulate", help="large-scale simulation")
     simulate.add_argument("--dataset", default="kaist",
@@ -569,20 +562,13 @@ def build_parser() -> argparse.ArgumentParser:
                                "disk at plan time and stream results, so "
                                "the parent's memory stays flat in the "
                                "client count (implies sharding)")
-    simulate.add_argument("--remote-worker", metavar="HOST:PORT",
-                          action="append", default=None,
-                          help="dispatch shards to this `repro "
-                               "shard-worker` listener as an extra "
-                               "supervision slot (repeatable; implies "
-                               "sharding; trusted links only — the wire "
-                               "protocol is pickle)")
     simulate.add_argument("--profile", type=positive_int, default=None,
                           metavar="N", dest="profile_top",
                           help="run under cProfile and print the top N "
                                "functions by cumulative time (sharded "
                                "runs need --workers 1 without "
-                               "--shard-timeout, chaos or --remote-worker, "
-                               "so every shard runs in this process)")
+                               "--shard-timeout or chaos, so every shard "
+                               "runs in this process)")
     simulate.add_argument("--allow-partial", action="store_true",
                           help="merge without shards that exhausted their "
                                "retry budget instead of failing the run; "
@@ -623,22 +609,6 @@ def build_parser() -> argparse.ArgumentParser:
     faults.add_argument("--list", action="store_true",
                         help="list the profiles (the default action)")
 
-    shard_worker = sub.add_parser(
-        "shard-worker",
-        help="serve remote shard dispatch (pair with simulate "
-             "--remote-worker; trusted links only)",
-    )
-    shard_worker.add_argument("--host", default="127.0.0.1",
-                              help="bind address (default: 127.0.0.1)")
-    shard_worker.add_argument("--port", type=int, default=None,
-                              help="listen port; 0 binds an ephemeral "
-                                   "port, printed on startup "
-                                   "(default: 7077)")
-    shard_worker.add_argument("--max-requests", type=positive_int,
-                              default=None,
-                              help="exit after serving this many shard "
-                                   "attempts (default: serve forever)")
-
     telemetry = sub.add_parser(
         "telemetry", help="summarize an exported telemetry snapshot"
     )
@@ -678,7 +648,6 @@ _COMMANDS = {
     "handoff": cmd_handoff,
     "simulate": cmd_simulate,
     "faults": cmd_faults,
-    "shard-worker": cmd_shard_worker,
     "telemetry": cmd_telemetry,
     "bench": cmd_bench,
     "predictors": cmd_predictors,

@@ -226,13 +226,15 @@ class MasterServer:
         wall-clock optimization.
         """
         out: dict[int, float] = {}
-        pending: list[EdgeServer] = []
+        # Keyed by server id: a repeated server is pinged once, and dict
+        # order keeps the first-seen ping order.
+        pending: dict[int, EdgeServer] = {}
         for server in servers:
             cached = self._slowdown_cache.get(server.server_id)
             if cached is not None:
                 out[server.server_id] = cached
-            elif not any(p.server_id == server.server_id for p in pending):
-                pending.append(server)
+            else:
+                pending.setdefault(server.server_id, server)
         if not pending:
             return out
         if self.telemetry is not None:
@@ -240,16 +242,16 @@ class MasterServer:
                 len(pending)
             )
         if self.contention_estimator is not None:
-            stats = [server.sample_stats() for server in pending]
+            stats = [server.sample_stats() for server in pending.values()]
             slowdowns = self.contention_estimator.predict_slowdown_batch(
                 stats
             )
-            for server, slowdown in zip(pending, slowdowns):
+            for server, slowdown in zip(pending.values(), slowdowns):
                 value = float(slowdown)
                 self._slowdown_cache[server.server_id] = value
                 out[server.server_id] = value
         else:
-            for server in pending:
+            for server in pending.values():
                 value = server.contention.expected_slowdown_for_clients(
                     len(server.active_clients)
                 )

@@ -36,7 +36,7 @@ import os
 import pickle
 import tempfile
 from dataclasses import dataclass, fields, replace
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -57,7 +57,6 @@ from repro.simulation.checkpoint import (
     model_fingerprint,
     run_fingerprint,
 )
-from repro.simulation.remote import RemoteExecutor
 from repro.simulation.large_scale import SimulationSettings, run_large_scale
 from repro.simulation.result import LargeScaleResult, assemble_result
 from repro.simulation.training import train_default_models
@@ -347,7 +346,6 @@ def run_large_scale_sharded(
     resume: bool = False,
     model_cache_dir: str | os.PathLike | None = None,
     spill_datasets: bool = False,
-    remote_workers: Sequence[str] = (),
 ) -> LargeScaleResult:
     """Run the large-scale simulation sharded over supervised workers.
 
@@ -411,15 +409,6 @@ def run_large_scale_sharded(
     arrays bit-exactly: spilled runs export the same bytes as in-memory
     ones (pinned by the equivalence suite).
 
-    ``remote_workers`` adds shard-worker addresses (``host:port``, see
-    ``repro shard-worker``) as extra supervision slots next to the
-    ``workers`` local ones; shards are dispatched over TCP with the same
-    retry/timeout/quarantine semantics, and local vs remote vs mixed
-    fleets export identical bytes.  Repeat an address to run several
-    shards there concurrently.  An unreachable address is retired after
-    its first failed connect; the local slots carry on.  The wire
-    protocol is pickle — use trusted hosts and links only.
-
     The returned result is the deterministic, order-independent merge of
     the per-shard results; ``result.extras["sharding"]`` records the
     decomposition and the supervision outcome.  Exported telemetry bytes
@@ -442,9 +431,6 @@ def run_large_scale_sharded(
         raise ValueError("at least one partitioner is required")
     if resume and checkpoint_dir is None:
         raise ValueError("resume=True requires a checkpoint_dir")
-    remote_workers = list(remote_workers or ())
-    # Validates every address before any expensive work.
-    remote_slots = [RemoteExecutor(address) for address in remote_workers]
     supervision = supervision or SupervisorConfig()
     # Fail fast on an unusable directory, before the expensive training.
     store = None
@@ -576,7 +562,6 @@ def run_large_scale_sharded(
             # With a store the merge streams from disk; holding every
             # shard result in memory as well would defeat the point.
             keep_results=store is None,
-            remote_slots=remote_slots,
         )
 
         surviving = sorted(completed | set(results))
@@ -605,7 +590,6 @@ def run_large_scale_sharded(
     _annotate_supervision(merged, shards, completed, report)
     merged.extras["partition_cache"]["prewarmed"] = prewarmed
     merged.extras["sharding"]["spill_datasets"] = spill_datasets
-    merged.extras["sharding"]["remote_workers"] = list(remote_workers)
     return merged
 
 

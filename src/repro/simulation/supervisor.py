@@ -3,11 +3,9 @@
 :func:`supervise` replaces the fire-and-forget ``executor.map`` the
 sharded city-scale driver used to fan shards out with.  Every shard
 attempt goes through one slot loop.  A slot runs one attempt at a time,
-in one of three ways: inline in the calling process when nothing needs
-isolation (:func:`runs_inline`), in its own disposable local worker
-process, or on a remote ``repro shard-worker``
-(:class:`repro.simulation.remote.RemoteExecutor`).  All three run the
-same :func:`run_attempt` body.  The supervisor
+in one of two ways: inline in the calling process when nothing needs
+isolation (:func:`runs_inline`), or in its own disposable local worker
+process.  Both run the same :func:`run_attempt` body.  The supervisor
 
 * detects crashes (abrupt worker exit — segfault, OOM kill, chaos) and
   hangs (per-shard wall-clock timeout) without taking the run down;
@@ -39,7 +37,7 @@ import socket
 import time
 from dataclasses import dataclass, field
 from multiprocessing import connection as mp_connection
-from typing import Any, Callable, Sequence
+from typing import Any, Callable
 
 from repro.faults.chaos import WorkerChaos
 
@@ -152,16 +150,14 @@ class SupervisionReport:
     retries: int = 0
 
 
-def runs_inline(
-    workers: int, config: SupervisorConfig, remote_slots: Sequence[Any] = ()
-) -> bool:
+def runs_inline(workers: int, config: SupervisorConfig) -> bool:
     """Does :func:`supervise` run every attempt in the calling process?
 
-    Only a single local worker with nothing needing isolation does:
-    remote slots need real dispatch, and chaos or a timeout needs a
-    process to kill (:attr:`SupervisorConfig.needs_processes`).
+    Only a single worker with nothing needing isolation does: chaos or a
+    timeout needs a process to kill
+    (:attr:`SupervisorConfig.needs_processes`).
     """
-    return workers == 1 and not remote_slots and not config.needs_processes
+    return workers == 1 and not config.needs_processes
 
 
 def run_attempt(runner, job, attempt, chaos) -> tuple[str, Any]:
@@ -186,19 +182,14 @@ def _process_entry(conn, runner, job, attempt, chaos) -> None:
 
 
 class FinishedAttempt:
-    """Handle for an attempt that ended before its ``launch`` returned.
+    """Handle for an inline attempt, which ended before ``launch`` returned.
 
     The waitable is an already-readable ``socketpair`` end, so the handle
-    flows through the same wait/receive/finish path as a live one.  An
-    inline attempt carries its outcome.  An attempt its slot could not
-    dispatch at all (an unreachable remote) carries ``failure`` instead:
-    ``receive`` raises ``EOFError``, so it is retried as a crash, and the
-    supervisor retires that slot for the rest of the run.
+    flows through the same wait/receive/finish path as a live one.
     """
 
-    def __init__(self, outcome: Any = None, *, failure: str | None = None):
+    def __init__(self, outcome: Any):
         self._outcome = outcome
-        self.failure = failure
         self._reader, writer = socket.socketpair()
         writer.close()  # the reader now polls readable (EOF)
 
@@ -207,8 +198,6 @@ class FinishedAttempt:
         return self._reader
 
     def receive(self):
-        if self.failure is not None:
-            raise EOFError(self.failure)
         # Hand the shard result over without keeping a reference to it.
         outcome, self._outcome = self._outcome, None
         return outcome
@@ -219,7 +208,7 @@ class FinishedAttempt:
     kill = finish
 
     def crash_detail(self) -> str:
-        return self.failure or ""
+        return ""
 
 
 class InlineExecutor:
@@ -244,9 +233,9 @@ class LocalProcessExecutor:
 
     The slot seam (``launch(runner, job, attempt, chaos) -> handle``
     where the handle exposes ``waitable``/``receive``/``finish``/
-    ``kill``/``crash_detail``) is shared by :class:`InlineExecutor` and
-    :class:`repro.simulation.remote.RemoteExecutor`, so retry, timeout
-    and quarantine semantics are identical on every slot kind.
+    ``kill``/``crash_detail``) is shared with :class:`InlineExecutor`,
+    so retry, timeout and quarantine semantics are identical on both
+    slot kinds.
     """
 
     def __init__(self):
@@ -320,7 +309,6 @@ def supervise(
     config: SupervisorConfig | None = None,
     on_result: Callable[[int, Any], None] | None = None,
     keep_results: bool = True,
-    remote_slots: Sequence[Any] = (),
 ) -> tuple[dict[int, Any], SupervisionReport]:
     """Run every job under supervision; returns (results, report).
 
@@ -332,10 +320,8 @@ def supervise(
     shard's telemetry in memory at once.
 
     The fleet is one :class:`InlineExecutor` when :func:`runs_inline`
-    holds, otherwise ``workers`` :class:`LocalProcessExecutor` slots
-    followed by ``remote_slots`` (e.g.
-    :class:`~repro.simulation.remote.RemoteExecutor` objects).  A slot
-    holds at most one in-flight attempt.  Which slot runs which shard
+    holds, otherwise ``workers`` :class:`LocalProcessExecutor` slots.  A
+    slot holds at most one in-flight attempt.  Which slot runs which shard
     never affects the results — shards are deterministic and the merge
     is order-independent — so every fleet exports identical bytes.
 
@@ -346,11 +332,10 @@ def supervise(
     if workers < 1:
         raise ValueError("workers must be >= 1")
     config = config or SupervisorConfig()
-    if runs_inline(workers, config, remote_slots):
+    if runs_inline(workers, config):
         free: list[Any] = [InlineExecutor()]
     else:
         free = [LocalProcessExecutor() for _ in range(workers)]
-        free += remote_slots
     results: dict[int, Any] = {}
     failures: dict[int, list[ShardFailure]] = {}
     quarantined: list[int] = []
@@ -375,15 +360,6 @@ def supervise(
         active[handle.waitable] = _Active(
             job, attempt, handle, executor, deadline
         )
-
-    def release(entry: _Active) -> None:
-        # A slot that could not dispatch at all (an unreachable remote) is
-        # retired for the rest of the run instead of drawing every retry
-        # while the other slots are busy.  Local slots never fail to
-        # dispatch, so at least one always remains.
-        handle = entry.handle
-        if not (isinstance(handle, FinishedAttempt) and handle.failure):
-            free.append(entry.executor)
 
     def fail(entry: _Active, cause: str, detail: str) -> None:
         index = entry.job.index
@@ -421,15 +397,15 @@ def supervise(
                 try:
                     status, payload = entry.handle.receive()
                 except (EOFError, OSError):
-                    # Abrupt worker death: chaos kill, OOM, segfault, a
-                    # remote worker dropping the connection.  Reap first
-                    # so the crash detail can see the exit code.
+                    # Abrupt worker death: chaos kill, OOM, segfault.
+                    # Reap first so the crash detail can see the exit
+                    # code.
                     entry.handle.finish()
-                    release(entry)
+                    free.append(entry.executor)
                     fail(entry, CAUSE_CRASH, entry.handle.crash_detail())
                     continue
                 entry.handle.finish()
-                release(entry)
+                free.append(entry.executor)
                 if status == "ok":
                     index = entry.job.index
                     if on_result is not None:
@@ -442,7 +418,7 @@ def supervise(
                 if entry.deadline is not None and now >= entry.deadline:
                     active.pop(waitable)
                     entry.handle.kill()
-                    release(entry)
+                    free.append(entry.executor)
                     fail(
                         entry, CAUSE_TIMEOUT,
                         f"no result within {config.timeout_seconds:g}s; "

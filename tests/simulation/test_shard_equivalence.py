@@ -544,95 +544,6 @@ class TestDatasetSpill:
         assert not (checkpoint / "datasets").exists()
 
 
-class TestRemoteDispatch:
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_remote_and_mixed_match_local(
-        self, dataset, tiny_partitioner, shard_worker, workers
-    ):
-        # Local-only, loopback-remote, and a mixed fleet must export the
-        # same bytes at every worker count: dispatch is pure transport.
-        settings = make_settings(faults=get_profile("churn"))
-        local = run_sharded(
-            dataset, tiny_partitioner, settings, workers=1
-        )
-        remote = run_sharded(
-            dataset, tiny_partitioner, settings,
-            workers=workers, remote_workers=[shard_worker],
-        )
-        assert remote.telemetry.dumps() == local.telemetry.dumps()
-        assert remote.extras["sharding"]["remote_workers"] == [shard_worker]
-
-    def test_remote_with_spill_hydrates_datasets(
-        self, dataset, tiny_partitioner, shard_worker
-    ):
-        # Spilled jobs are hydrated executor-side before hitting the
-        # wire, so the listener never reads the driver's spill files.
-        settings = make_settings()
-        local = run_sharded(dataset, tiny_partitioner, settings, workers=1)
-        mixed = run_sharded(
-            dataset, tiny_partitioner, settings,
-            workers=2, remote_workers=[shard_worker], spill_datasets=True,
-        )
-        assert mixed.telemetry.dumps() == local.telemetry.dumps()
-
-    def test_unreachable_worker_surfaces_as_crash(self):
-        # A connect failure must flow through the supervisor's normal
-        # crash path: an already-readable handle whose receive raises.
-        import socket
-
-        from repro.simulation.remote import RemoteExecutor
-        from repro.simulation.supervisor import (
-            FinishedAttempt as _DeadAttempt,
-        )
-
-        probe = socket.socket()
-        probe.bind(("127.0.0.1", 0))
-        port = probe.getsockname()[1]
-        probe.close()
-        executor = RemoteExecutor(
-            f"127.0.0.1:{port}", connect_timeout=0.5
-        )
-        handle = executor.launch(None, None, 1, None)
-        assert isinstance(handle, _DeadAttempt)
-        assert "unreachable" in handle.crash_detail()
-        with pytest.raises(EOFError):
-            handle.receive()
-        handle.finish()
-
-    def test_parse_address(self):
-        from repro.simulation.remote import DEFAULT_PORT, parse_address
-
-        assert parse_address("10.0.0.2:7100") == ("10.0.0.2", 7100)
-        assert parse_address("edge-host") == ("edge-host", DEFAULT_PORT)
-        with pytest.raises(ValueError, match="host:port"):
-            parse_address("edge-host:notaport")
-        with pytest.raises(ValueError, match="port out of range"):
-            parse_address("edge-host:70000")
-        # A missing host must fail here, not as crash-retries after
-        # training has already run.
-        for address in (":7077", "", ":"):
-            with pytest.raises(ValueError, match="empty host"):
-                parse_address(address)
-
-    def test_frame_roundtrip_and_truncation(self):
-        import socket
-
-        from repro.simulation.remote import recv_frame, send_frame
-
-        a, b = socket.socketpair()
-        try:
-            send_frame(a, {"shard": 3, "payload": list(range(10))})
-            assert recv_frame(b) == {"shard": 3, "payload": list(range(10))}
-            # A peer dying mid-frame surfaces as EOFError (crash
-            # semantics), not a hang or a partial object.
-            a.sendall(b"\x00\x00\x00\x00\x00\x00\x00\xff")
-            a.close()
-            with pytest.raises(EOFError):
-                recv_frame(b)
-        finally:
-            b.close()
-
-
 class TestValidation:
     def test_workers_must_be_positive(self, dataset, tiny_partitioner):
         with pytest.raises(ValueError, match="workers"):

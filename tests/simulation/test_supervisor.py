@@ -9,9 +9,6 @@ a pure function of ``(seed, shard, attempt)``.
 """
 
 import os
-import socket
-import struct
-import threading
 import time
 from dataclasses import dataclass
 
@@ -23,7 +20,6 @@ from repro.faults import (
     CHAOS_NONE,
     WorkerChaos,
 )
-from repro.simulation.remote import RemoteExecutor, recv_frame
 from repro.simulation.supervisor import (
     CAUSE_CRASH,
     CAUSE_ERROR,
@@ -267,11 +263,6 @@ def pid_runner(job):
     return os.getpid()
 
 
-def sleepy_runner(job):
-    time.sleep(job.payload)
-    return job.index
-
-
 class TestInlineSelection:
     """A lone worker with nothing to isolate runs shards in the caller.
 
@@ -282,7 +273,6 @@ class TestInlineSelection:
         assert runs_inline(1, SupervisorConfig())
         assert runs_inline(1, SupervisorConfig(chaos=WorkerChaos()))
         assert not runs_inline(2, SupervisorConfig())
-        assert not runs_inline(1, SupervisorConfig(), [object()])
         assert not runs_inline(1, SupervisorConfig(timeout_seconds=1.0))
         assert not runs_inline(
             1, SupervisorConfig(chaos=WorkerChaos(kill_rate=0.5))
@@ -296,65 +286,6 @@ class TestInlineSelection:
         config = SupervisorConfig(timeout_seconds=30.0)
         results, _ = supervise([Job(0)], pid_runner, config=config)
         assert results[0] != os.getpid()
-
-
-_GARBAGE = b"not a pickle at all"
-
-
-def _garbage_listener(server):
-    """Read each request, answer with a valid header around garbage."""
-    while True:
-        try:
-            conn, _ = server.accept()
-        except OSError:
-            return  # the test closed the server
-        with conn:
-            try:
-                recv_frame(conn)
-                conn.sendall(struct.pack(">Q", len(_GARBAGE)) + _GARBAGE)
-            except (EOFError, OSError):
-                pass  # the supervisor gave up on this attempt
-
-
-class TestRemoteSlots:
-    def test_dead_remote_is_retired_in_mixed_fleet(self):
-        # Regression: while both local slots were busy, the freed dead
-        # slot was the only free one and drew every retry of the same
-        # shard until it was quarantined.
-        jobs = [Job(i, payload=0.5) for i in range(6)]
-        results, report = supervise(
-            jobs, sleepy_runner, workers=2,
-            remote_slots=[RemoteExecutor("127.0.0.1:1")],
-        )
-        assert results == {i: i for i in range(6)}
-        assert report.quarantined == ()
-        assert report.retries == 1
-        [history] = report.failures.values()
-        assert [f.cause for f in history] == [CAUSE_CRASH]
-        assert "unreachable" in history[0].detail
-
-    def test_corrupt_response_frame_is_a_typed_crash(self):
-        server = socket.create_server(("127.0.0.1", 0))
-        listener = threading.Thread(
-            target=_garbage_listener, args=(server,), daemon=True
-        )
-        listener.start()
-        remote = RemoteExecutor(f"127.0.0.1:{server.getsockname()[1]}")
-        config = SupervisorConfig(max_attempts=2, backoff_base_seconds=0.0)
-        try:
-            # Shard 0 holds the only local slot far longer than the
-            # test runs, so every attempt of shard 1 hits the listener.
-            with pytest.raises(ShardError) as excinfo:
-                supervise(
-                    [Job(0, payload=60.0), Job(1)], sleepy_runner,
-                    config=config, remote_slots=[remote],
-                )
-        finally:
-            server.shutdown(socket.SHUT_RDWR)  # wakes the blocked accept
-            server.close()
-            listener.join(timeout=10.0)
-        assert excinfo.value.shard_index == 1
-        assert [f.cause for f in excinfo.value.failures] == [CAUSE_CRASH] * 2
 
 
 class TestShardFailure:

@@ -110,6 +110,50 @@ class TestParser:
         assert getattr(args, flag[2:]) == 0.0
 
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1", "0.5"])
+    def test_partition_slowdown_must_be_finite_and_at_least_one(
+        self, capsys, value
+    ):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["partition", "--slowdown", value])
+        assert exc.value.code == 2
+        assert "finite number >= 1" in capsys.readouterr().err
+        args = build_parser().parse_args(["partition", "--slowdown", "1"])
+        assert args.slowdown == 1.0
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1", "1.5"])
+    def test_handoff_fraction_must_be_a_finite_share(self, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["handoff", "--fraction", value])
+        assert exc.value.code == 2
+        assert "number in [0, 1]" in capsys.readouterr().err
+        for share in ("0", "1"):
+            args = build_parser().parse_args(["handoff", "--fraction", share])
+            assert args.fraction == float(share)
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--queries", "0"], ["--switch-after", "0"], ["--switch-after", "-1"]],
+    )
+    def test_handoff_counts_must_be_positive(self, capsys, flags):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["handoff", *flags])
+        assert exc.value.code == 2
+        assert "positive integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--remote-worker", "127.0.0.1:1"],
+            ["shard-worker"],
+        ],
+    )
+    def test_remote_dispatch_is_not_a_command(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+
+
 class TestCommands:
     def test_models_runs(self, capsys):
         assert main(["models"]) == 0
@@ -137,6 +181,16 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "<- server change" in out
         assert "peak after switch" in out
+
+    @pytest.mark.parametrize("switch_after", ["4", "10"])
+    def test_handoff_switch_must_fall_inside_the_queries(
+        self, capsys, switch_after
+    ):
+        argv = ["handoff", "--queries", "4", "--switch-after", switch_after]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: --switch-after")
+        assert captured.out == ""
 
     def test_simulate_runs(self, capsys):
         assert main(
@@ -349,7 +403,6 @@ class TestProfile:
             ["--workers", "2"],
             ["--shard-size", "4", "--shard-timeout", "30"],
             ["--shard-size", "4", "--chaos-kill", "0.5"],
-            ["--remote-worker", "127.0.0.1:1"],
         ],
     )
     def test_process_fleets_refused_before_any_work(
