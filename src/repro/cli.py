@@ -591,7 +591,7 @@ def build_parser() -> argparse.ArgumentParser:
                                "--shard-timeout; default: 0)")
     simulate.add_argument("--chaos-seed", type=int, default=0,
                           help="seed of the chaos schedule (default: 0)")
-    simulate.add_argument("--chaos-kill-shard", type=int,
+    simulate.add_argument("--chaos-kill-shard", type=non_negative_int,
                           action="append", metavar="INDEX", default=None,
                           help="kill every attempt of this shard index "
                                "(repeatable); forces quarantine")
@@ -613,7 +613,7 @@ def build_parser() -> argparse.ArgumentParser:
         "telemetry", help="summarize an exported telemetry snapshot"
     )
     telemetry.add_argument("snapshot", help="path to a *.telemetry.json file")
-    telemetry.add_argument("--top", type=int, default=10,
+    telemetry.add_argument("--top", type=non_negative_int, default=10,
                            help="show the N largest counters")
 
     bench = sub.add_parser(

@@ -16,8 +16,10 @@ and the mobility predictor.  Every simulation interval it:
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Mapping
+import math
+from collections.abc import Iterable, Mapping
 from enum import Enum
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -36,6 +38,9 @@ from repro.telemetry import (
     MigrationEvent,
     Telemetry,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.overload.admission import AdmissionController
 
 
 class MigrationPolicy(str, Enum):
@@ -82,6 +87,10 @@ class MasterServer:
         self._rng = rng
         self._servers: dict[int, EdgeServer] = {}
         self._slowdown_cache: dict[int, float] = {}
+        # (interval, registry id list, live servers) of the last redirect.
+        self._live: (
+            tuple[int, list[int], list[tuple[int, float, float]]] | None
+        ) = None
 
     # ------------------------------------------------------------------
     # Server management
@@ -123,59 +132,114 @@ class MasterServer:
     def association_load(self, server_id: int) -> int:
         """Instantaneous client load on a server (0 if never instantiated).
 
-        Reading the load does not instantiate the server.  The large-scale
-        simulator's admission-capacity ``require`` probe in
-        :meth:`redirect_target` does: it calls ``master.server`` on every
-        live candidate, which instantiates each one and opens its
-        admission queue (so each gets an ``overload.queue_depth`` gauge
-        that interval).  That side effect is part of the run's telemetry
+        Reading the load does not instantiate the server.  An admission
+        scan in :meth:`redirect_target` does: it wakes every live
+        candidate in reach (instantiates it and opens its admission
+        queue, so each gets an ``overload.queue_depth`` gauge that
+        interval).  That side effect is part of the run's telemetry
         bytes, so it stays; probing without waking would be a telemetry
         change of its own.
         """
         server = self._servers.get(server_id)
         return len(server.active_clients) if server is not None else 0
 
+    def _live_servers(self, interval: int) -> list[tuple[int, float, float]]:
+        """``(server id, centre x, centre y)`` of every server up at
+        ``interval``, in cell-sorted order.
+
+        Built on the interval's first redirect and reused until the
+        interval (or the registry) changes.
+        """
+        ids, xs, ys = self.registry.cell_sorted_centres()
+        cached = self._live
+        if cached is not None and cached[0] == interval and cached[1] is ids:
+            return cached[2]
+        down = (
+            self.fault_schedule.servers_down(interval)
+            if self.fault_schedule is not None else frozenset()
+        )
+        live = [
+            (server_id, x, y)
+            for server_id, x, y in zip(ids, xs, ys)
+            if server_id not in down
+        ]
+        self._live = (interval, ids, live)
+        return live
+
     def redirect_target(
         self,
         position: tuple[float, float],
         interval: int,
         radius_m: float,
-        load_of: Callable[[int], float] | None = None,
         exclude: Iterable[int] = (),
-        require: Callable[[int], bool] | None = None,
+        admission: AdmissionController | None = None,
     ) -> int | None:
         """Least-loaded reachable live server for a redirected client.
 
         Candidates are the servers within ``radius_m`` of ``position``
         that are up at ``interval``, minus ``exclude`` (typically the
-        saturated home server) and anything failing ``require`` (e.g. an
-        admission-capacity check).  ``load_of`` defaults to the client
-        count; the simulator passes the admission controller's queue
-        depth so selection folds in this interval's actual backlog.
+        saturated home server).  Without ``admission`` the load is the
+        client count (crash-time steering).  With it the load is the
+        server's queue depth, and a candidate needs open capacity: each
+        one in reach is woken (``master.server(id)``, which opens its
+        admission queue) in cell-sorted order, once.
 
-        One pass over :meth:`EdgeServerRegistry.servers_near` in its
-        cell-sorted order: ``require`` runs once on every candidate that
-        is neither excluded nor down, and the lowest ``(load, distance,
-        server id)`` wins — ties break by distance, then by id.  Returns
-        ``None`` when no candidate qualifies.
+        The scan walks the interval's live list and applies the exact
+        ``math.hypot(...) <= radius_m`` test of
+        :meth:`EdgeServerRegistry.servers_near`, so candidates, order and
+        distances match it; the lowest ``(load, distance, server id)``
+        wins.  A queue's capacity is fixed at first touch and its depth
+        only rises until :meth:`AdmissionController.begin_interval`, so a
+        server found full is dropped from the controller's candidates for
+        the rest of its interval (it was already woken, so nothing with
+        a side effect is skipped).  Returns ``None`` when no candidate
+        qualifies.
         """
+        if radius_m < 0:
+            raise ValueError("distance must be non-negative")
+        live = self._live_servers(interval)
+        x, y = float(position[0]), float(position[1])
         excluded = set(exclude)
-        down = (
-            self.fault_schedule.servers_down(interval)
-            if self.fault_schedule is not None else frozenset()
-        )
-        load_of = load_of or self.association_load
+        hypot = math.hypot
         best: tuple[float, float, int] | None = None
-        for server_id, distance in self.registry.servers_near(
-            position, radius_m
-        ):
-            if server_id in excluded or server_id in down:
+        if admission is None:
+            for server_id, cx, cy in live:
+                if server_id in excluded:
+                    continue
+                distance = hypot(cx - x, cy - y)
+                if distance > radius_m:
+                    continue
+                key = (self.association_load(server_id), distance, server_id)
+                if best is None or key < best:
+                    best = key
+            return None if best is None else best[2]
+        pool = admission.redirect_pool
+        if pool is None or pool[0] is not live:
+            pool = admission.redirect_pool = (
+                live,
+                [[server_id, cx, cy, None] for server_id, cx, cy in live],
+            )
+        candidates = pool[1]
+        full = []
+        for entry in candidates:
+            server_id, cx, cy, queue = entry
+            if server_id in excluded:
                 continue
-            if require is not None and not require(server_id):
+            distance = hypot(cx - x, cy - y)
+            if distance > radius_m:
                 continue
-            key = (load_of(server_id), distance, server_id)
+            if queue is None:
+                # Wake: instantiate the server and open its queue.
+                queue = entry[3] = admission.queue(self.server(server_id))
+            depth, capacity = queue
+            if depth >= capacity:
+                full.append(entry)
+                continue
+            key = (depth, distance, server_id)
             if best is None or key < best:
                 best = key
+        for entry in full:
+            candidates.remove(entry)
         return None if best is None else best[2]
 
     # ------------------------------------------------------------------

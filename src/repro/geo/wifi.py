@@ -144,6 +144,19 @@ class EdgeServerRegistry:
         self._radius_index = index
         return index
 
+    def cell_sorted_centres(
+        self,
+    ) -> tuple[list[int], list[float], list[float]]:
+        """``(ids, xs, ys)`` of every allocated server, in cell-sorted order.
+
+        The order :meth:`servers_near` reports servers in, with the centre
+        coordinates as the Python floats its exact ``math.hypot`` test
+        reads.  The lists are shared (rebuilt only when a server is
+        allocated) and must not be mutated.
+        """
+        _, ids, xs, ys = self._build_radius_index()
+        return ids, xs, ys
+
     def servers_near(
         self, point: tuple[float, float], distance: float
     ) -> list[tuple[int, float]]:

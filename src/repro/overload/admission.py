@@ -58,11 +58,19 @@ class AdmissionController:
         self._interval = 0
         # server_id -> [admitted_depth, effective_capacity]
         self._queues: dict[int, list[int]] = {}
+        #: ``(live list, candidates)`` of this interval's redirect scans:
+        #: ``[server id, x, y, queue or None]`` for the master's live
+        #: servers minus those found full.  A full queue stays full until
+        #: :meth:`begin_interval` (capacity is fixed at first touch,
+        #: depth only rises), so ``MasterServer.redirect_target`` drops
+        #: it once; ``None`` until the interval's first redirect.
+        self.redirect_pool: tuple[list, list] | None = None
 
     def begin_interval(self, interval: int) -> None:
         """Drop every queue; capacities are re-derived on first touch."""
         self._interval = interval
         self._queues.clear()
+        self.redirect_pool = None
 
     def effective_capacity(self, saturation: float) -> int:
         """This interval's slot bound for a server at ``saturation``.
@@ -76,7 +84,13 @@ class AdmissionController:
             capacity = max(1, capacity // 2)
         return capacity
 
-    def _queue(self, server: "EdgeServer") -> list[int]:
+    def queue(self, server: "EdgeServer") -> list[int]:
+        """The server's ``[admitted depth, capacity]`` this interval.
+
+        Opens the queue on first touch.  The list is live: admissions
+        update it in place, and it stays the server's queue until
+        :meth:`begin_interval`.
+        """
         queue = self._queues.get(server.server_id)
         if queue is None:
             queue = [0, self.effective_capacity(server.saturation())]
@@ -89,15 +103,15 @@ class AdmissionController:
         return queue[0] if queue is not None else 0
 
     def capacity_of(self, server: "EdgeServer") -> int:
-        return self._queue(server)[1]
+        return self.queue(server)[1]
 
     def has_capacity(self, server: "EdgeServer") -> bool:
-        depth, capacity = self._queue(server)
+        depth, capacity = self.queue(server)
         return depth < capacity
 
     def try_admit(self, server: "EdgeServer") -> AdmissionDecision:
         """Request one offload slot; deterministic in request order."""
-        queue = self._queue(server)
+        queue = self.queue(server)
         depth, capacity = queue
         if depth >= capacity:
             return AdmissionDecision(

@@ -32,6 +32,20 @@ _MAX_TEMPERATURE = 92.0
 _THROTTLE_TEMPERATURE = 80.0
 
 
+def clip_scalar(x: float, lo: float, hi: float) -> float:
+    """``float(np.clip(x, lo, hi))`` for one float, without numpy.
+
+    For non-NaN bounds it gives the same bits as numpy's float clip,
+    signed zeros included: a NaN passes through, then ``x if x >= lo
+    else lo``, then ``x if x <= hi else hi`` (a tie keeps ``x``, so
+    ``-0.0`` clipped at ``0.0`` stays ``-0.0``, as it does in numpy).
+    """
+    if x != x:
+        return x
+    x = x if x >= lo else lo
+    return x if x <= hi else hi
+
+
 class GpuContentionModel:
     """Latent-load contention model for one server GPU.
 
@@ -140,16 +154,16 @@ class GpuContentionModel:
         """One noisy nvml-style sample of the current GPU state."""
         util = 100.0 * self._utilization_fraction()
         noise = self._stat_noise * 100.0
-        kernel = float(np.clip(util + self._rng.normal(0.0, noise), 0.0, 100.0))
-        mem = float(
-            np.clip(0.62 * util + self._rng.normal(0.0, noise), 0.0, 100.0)
+        kernel = clip_scalar(
+            util + self._rng.normal(0.0, noise), 0.0, 100.0
         )
-        temp = float(
-            np.clip(
-                self._temperature + self._rng.normal(0.0, 1.0),
-                _AMBIENT_TEMPERATURE - 5.0,
-                _MAX_TEMPERATURE + 3.0,
-            )
+        mem = clip_scalar(
+            0.62 * util + self._rng.normal(0.0, noise), 0.0, 100.0
+        )
+        temp = clip_scalar(
+            self._temperature + self._rng.normal(0.0, 1.0),
+            _AMBIENT_TEMPERATURE - 5.0,
+            _MAX_TEMPERATURE + 3.0,
         )
         return GpuStats(
             kernel_utilization=kernel,

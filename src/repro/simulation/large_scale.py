@@ -453,9 +453,8 @@ def _overload_gate(
         target_id = master.redirect_target(
             client.position, step,
             overload_cfg.redirect_radius_m,
-            load_of=admission.depth_of,
             exclude=(server.server_id,),
-            require=lambda s: admission.has_capacity(master.server(s)),
+            admission=admission,
         )
         if target_id is not None:
             target = master.server(target_id)

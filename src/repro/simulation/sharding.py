@@ -444,6 +444,18 @@ def run_large_scale_sharded(
     config = config or PerDNNConfig(
         migration_radius_m=settings.migration_radius_m
     )
+    shards = plan_shards(dataset, config, settings, shard_size)
+    chaos = supervision.chaos
+    missing = [
+        index
+        for index in (chaos.always_kill if chaos is not None else ())
+        if not 0 <= index < len(shards)
+    ]
+    if missing:
+        raise ValueError(
+            f"chaos always_kill names shard index(es) {missing}, but the "
+            f"run plans {len(shards)} shard(s)"
+        )
     model_names = sorted({p.graph.name for p in pool})
     # The model cache keys on everything training consumes, and only
     # engages when the default models would be trained right here
@@ -488,7 +500,6 @@ def run_large_scale_sharded(
         for member in template if isinstance(template, list) else [template]:
             prewarmed += member.warm(bound)
     partitioner_blob = pickle.dumps(template)
-    shards = plan_shards(dataset, config, settings, shard_size)
     dataset_name = dataset.name
 
     completed: set[int] = set()

@@ -132,7 +132,12 @@ def write_metrics_csv(path: str | os.PathLike, registry: MetricsRegistry) -> str
 
 
 def summarize_snapshot(doc: dict, top: int = 10) -> list[str]:
-    """Human-readable summary lines of a snapshot (the CLI's output)."""
+    """Human-readable summary lines of a snapshot (the CLI's output).
+
+    ``top`` caps the counters listed (largest first); it must be >= 0.
+    """
+    if top < 0:
+        raise ValueError(f"top must be non-negative (got {top})")
     lines: list[str] = []
     meta = doc.get("meta") or {}
     if meta:

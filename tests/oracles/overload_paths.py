@@ -62,6 +62,7 @@ def redirect_target(
     load_of: Callable[[int], float] | None = None,
     exclude: Iterable[int] = (),
     require: Callable[[int], bool] | None = None,
+    admission=None,
 ) -> int | None:
     """Least-loaded reachable live server for a redirected client.
 
@@ -71,7 +72,13 @@ def redirect_target(
     admission-capacity check).  ``load_of`` defaults to the client
     count; the simulator passes the admission controller's queue
     depth so selection folds in this interval's actual backlog.
+
+    ``admission`` stands for the ``load_of``/``require`` pair the
+    simulator passed before the parameter replaced them.
     """
+    if admission is not None:
+        load_of = admission.depth_of
+        require = lambda s: admission.has_capacity(self.server(s))  # noqa: E731
     excluded = set(exclude)
     candidates = [
         server_id

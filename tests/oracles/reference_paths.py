@@ -352,11 +352,8 @@ def per_client_query_windows(run: large_scale._Run) -> None:
                     target_id = master.redirect_target(
                         client.position, step,
                         overload_cfg.redirect_radius_m,
-                        load_of=admission.depth_of,
                         exclude=(server.server_id,),
-                        require=lambda s: admission.has_capacity(
-                            master.server(s)
-                        ),
+                        admission=admission,
                     )
                 if target_id is not None:
                     target = master.server(target_id)

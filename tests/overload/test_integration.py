@@ -111,9 +111,9 @@ class TestRedirectProbe:
     def test_capacity_probe_wakes_every_live_candidate(
         self, tiny_partitioner, monkeypatch
     ):
-        # The simulator's redirect ``require`` probe calls
-        # ``master.server`` on every live candidate it scans, so each one
-        # is instantiated and gets an admission queue (and a queue-depth
+        # The simulator's admission redirect scan wakes every live
+        # candidate in reach (``master.server``), so each one is
+        # instantiated and gets an admission queue (and a queue-depth
         # gauge), not just the chosen target.  That side effect is part
         # of the telemetry bytes; pin it so a faster scan cannot drop it.
         original = MasterServer.redirect_target
@@ -122,7 +122,7 @@ class TestRedirectProbe:
         def recording(master, position, interval, radius_m, **kwargs):
             before = {s.server_id for s in master.instantiated_servers}
             target = original(master, position, interval, radius_m, **kwargs)
-            if kwargs.get("require") is not None:
+            if kwargs.get("admission") is not None:
                 excluded = set(kwargs.get("exclude", ()))
                 live = {
                     server_id

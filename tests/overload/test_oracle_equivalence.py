@@ -65,3 +65,6 @@ def test_flash_crowd_bytes_match_oracles(
         else "overload.degraded"
     )
     assert registry.value(outcome) > 0
+    if policy is SheddingPolicy.REDIRECT:
+        # Some redirect finds every queue in reach full.
+        assert registry.value("overload.shed") > 0

@@ -1,9 +1,13 @@
 """Tests for the GPU contention model and nvml-style statistics."""
 
+import math
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.profiling.contention import GpuContentionModel
+from repro.profiling.contention import GpuContentionModel, clip_scalar
 from repro.profiling.gpu_stats import GpuStats
 
 
@@ -104,3 +108,26 @@ class TestContentionModel:
             a.step(4)
             b.step(4)
         assert a.sample_stats() == b.sample_stats()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    x=st.one_of(
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf,
+                         100.0, 30.0, 95.0]),
+    ),
+    bounds=st.one_of(
+        st.sampled_from([(0.0, 100.0), (30.0, 95.0), (-0.0, 0.0),
+                         (0.0, -0.0), (0.0, 0.0), (-0.0, -0.0)]),
+        st.tuples(st.floats(allow_nan=False), st.floats(allow_nan=False)),
+    ),
+)
+def test_clip_scalar_matches_numpy_bit_for_bit(x, bounds):
+    lo, hi = bounds
+    expected = float(np.clip(x, lo, hi))
+    got = clip_scalar(x, lo, hi)
+    assert type(got) is float
+    assert struct.pack("<d", got) == struct.pack("<d", expected) or (
+        math.isnan(got) and math.isnan(expected)
+    )

@@ -151,6 +151,15 @@ class TestExport:
         ):
             assert needle in text
 
+    def test_summarize_top_caps_counters_and_rejects_negative(self):
+        doc = _loaded_telemetry().snapshot()
+        assert "  ... 1 more" in summarize_snapshot(doc, top=0)
+        assert not any(
+            "more" in line for line in summarize_snapshot(doc, top=1)
+        )
+        with pytest.raises(ValueError, match="non-negative"):
+            summarize_snapshot(doc, top=-1)
+
     def test_summarize_empty_snapshot(self):
         assert summarize_snapshot({"schema": SCHEMA, "metrics": {}}) == [
             "(empty snapshot)"

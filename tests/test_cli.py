@@ -43,6 +43,20 @@ class TestParser:
         assert args.snapshot == "run.json"
         assert args.top == 10
 
+    @pytest.mark.parametrize("value", ["-1", "-30"])
+    def test_telemetry_top_must_be_non_negative(self, capsys, value):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["telemetry", "run.json", "--top", value]
+            )
+        assert "non-negative integer" in capsys.readouterr().err
+
+    def test_telemetry_top_zero_is_accepted(self):
+        args = build_parser().parse_args(
+            ["telemetry", "run.json", "--top", "0"]
+        )
+        assert args.top == 0
+
     @pytest.mark.parametrize("flag", ["--users", "--steps", "--dataset-steps"])
     @pytest.mark.parametrize("value", ["0", "-3"])
     def test_simulate_rejects_non_positive_counts(self, capsys, flag, value):
@@ -232,6 +246,23 @@ class TestCommands:
         assert "cold_start: " in out  # event tally by kind
         assert "query.completed" in out
 
+    def test_telemetry_top_caps_the_counter_list(self, capsys, tmp_path):
+        snapshot = tmp_path / "run.telemetry.json"
+        assert main(
+            [
+                "simulate", "--model", "mobilenet", "--policy", "none",
+                "--steps", "4", "--users", "3", "--dataset-steps", "50",
+                "--telemetry", str(snapshot),
+            ]
+        ) == 0
+        capsys.readouterr()
+        assert main(["telemetry", str(snapshot), "--top", "0"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        header = next(i for i, line in enumerate(lines)
+                      if line.startswith("counters ("))
+        total = int(lines[header].split("(")[1].split(")")[0])
+        assert lines[header + 1] == f"  ... {total} more"
+
     def test_telemetry_missing_file_errors(self, capsys, tmp_path):
         assert main(["telemetry", str(tmp_path / "nope.json")]) == 1
         assert "no such snapshot" in capsys.readouterr().err
@@ -328,6 +359,30 @@ class TestShardedSimulate:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["simulate", flag, "0"])
         capsys.readouterr()
+
+    def test_chaos_kill_shard_must_be_non_negative(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["simulate", "--shard-size", "2", "--chaos-kill-shard", "-3"]
+            )
+        assert "non-negative integer" in capsys.readouterr().err
+        args = build_parser().parse_args(
+            ["simulate", "--shard-size", "2", "--chaos-kill-shard", "0",
+             "--chaos-kill-shard", "4"]
+        )
+        assert args.chaos_kill_shard == [0, 4]
+
+    def test_chaos_kill_shard_past_the_plan_exits_2(self, capsys):
+        assert main(
+            [
+                "simulate", "--model", "mobilenet", "--steps", "4",
+                "--users", "4", "--dataset-steps", "40",
+                "--shard-size", "2", "--chaos-kill-shard", "99",
+            ]
+        ) == 2
+        captured = capsys.readouterr()
+        assert "always_kill" in captured.err and "[99]" in captured.err
+        assert "sharding:" not in captured.out
 
     def test_sharded_run_reports_decomposition(self, capsys):
         assert main(
