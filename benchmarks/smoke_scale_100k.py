@@ -57,7 +57,7 @@ USERS, DATASET_STEPS, MAX_STEPS, SHARD_SIZE = SCALE_SHAPES[CASE].quick
 
 #: Populations for the spill-vs-in-memory driver-RSS comparison.  The
 #: first (the quick-shape population) estimates each mode's
-#: population-independent baseline — pickled model blobs, supervision
+#: population-independent baseline — trained models, supervision
 #: machinery — and the larger two carry the assertion: there per-shard
 #: records dominate the driver's allocations, because the in-memory
 #: path accumulates every shard's result (events and all) before

@@ -587,15 +587,16 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--chaos-hang", type=float, default=0.0,
                           metavar="RATE",
                           help="chaos testing: per-attempt probability of "
-                               "hanging the worker (pair with "
-                               "--shard-timeout; default: 0)")
-    simulate.add_argument("--chaos-seed", type=int, default=0,
+                               "hanging the worker (needs --shard-timeout; "
+                               "default: 0)")
+    simulate.add_argument("--chaos-seed", type=non_negative_int, default=0,
                           help="seed of the chaos schedule (default: 0)")
     simulate.add_argument("--chaos-kill-shard", type=non_negative_int,
                           action="append", metavar="INDEX", default=None,
                           help="kill every attempt of this shard index "
                                "(repeatable); forces quarantine")
-    simulate.add_argument("--chaos-max-injections", type=int, default=1,
+    simulate.add_argument("--chaos-max-injections", type=non_negative_int,
+                          default=1,
                           help="sabotaged attempts per shard before the "
                                "chaos schedule lets it through (default: 1)")
     simulate.add_argument("--chaos-hang-seconds", type=float, default=3600.0,

@@ -115,6 +115,12 @@ class MobileClient:
 
     def recent_window(self) -> np.ndarray | None:
         """The last ``history`` positions, or None if not yet enough."""
+        positions = self.recent_positions()
+        return None if positions is None else np.array(positions)
+
+    def recent_positions(self) -> list[tuple[float, float]] | None:
+        """:meth:`recent_window` as ``(x, y)`` tuples, which batch callers
+        stack into one array in a single call."""
         if len(self._recent) < self.history:
             return None
-        return np.array(self._recent)
+        return list(self._recent)

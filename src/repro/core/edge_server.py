@@ -55,7 +55,11 @@ class EdgeServer:
         self.cell = cell
         self.contention = GpuContentionModel(rng)
         self.telemetry = telemetry
-        self._cache: dict[int, CachedModel] = {}
+        #: Client id -> cached model.  :meth:`cached_bytes` counts a
+        #: ``cache.lookups`` per read; the batched query and migration
+        #: passes read entries here directly and add their lookup tallies
+        #: once per interval.
+        self.cache: dict[int, CachedModel] = {}
         self._active_clients: set[int] = set()
         # Hot-path counter objects, resolved once instead of per lookup
         # (registry counters are stable singletons per (name, labels)).
@@ -111,7 +115,7 @@ class EdgeServer:
     # ------------------------------------------------------------------
     def cached_bytes(self, client_id: int, version: int = 0) -> float:
         """Cached bytes of the client's model at ``version`` (stale = 0)."""
-        entry = self._cache.get(client_id)
+        entry = self.cache.get(client_id)
         if entry is None or entry.version != version:
             if self._lookup_miss is not None:
                 self._lookup_miss.inc()
@@ -134,12 +138,12 @@ class EdgeServer:
         """
         if nbytes < 0:
             raise ValueError("nbytes must be non-negative")
-        entry = self._cache.get(client_id)
+        entry = self.cache.get(client_id)
         if entry is None or entry.version != version:
             entry = CachedModel(
                 received_bytes=0.0, expires_at_interval=0, version=version
             )
-            self._cache[client_id] = entry
+            self.cache[client_id] = entry
         entry.received_bytes += nbytes
         entry.refresh(now_interval, ttl_intervals)
         if self._bytes_added is not None:
@@ -153,7 +157,7 @@ class EdgeServer:
         ttl_intervals: int,
         version: int = 0,
     ) -> None:
-        entry = self._cache.get(client_id)
+        entry = self.cache.get(client_id)
         if entry is not None and entry.version == version:
             entry.refresh(now_interval, ttl_intervals)
 
@@ -165,8 +169,8 @@ class EdgeServer:
         finds it with a cold cache — the paper's cold-start cost paid
         again, which is exactly what the resilience layer measures.
         """
-        lost = len(self._cache)
-        self._cache.clear()
+        lost = len(self.cache)
+        self.cache.clear()
         self._active_clients.clear()
         if lost and self.telemetry is not None:
             self.telemetry.counter("cache.crash_losses").inc(lost)
@@ -175,7 +179,7 @@ class EdgeServer:
     def clear_client(self, client_id: int) -> None:
         """Drop a client's cached layers (the IONN baseline keeps nothing
         across server changes — clients re-upload from scratch)."""
-        self._cache.pop(client_id, None)
+        self.cache.pop(client_id, None)
 
     def expire(self, now_interval: int) -> list[int]:
         """Drop expired cache entries; returns the evicted client ids.
@@ -184,16 +188,16 @@ class EdgeServer:
         """
         evicted = [
             client_id
-            for client_id, entry in self._cache.items()
+            for client_id, entry in self.cache.items()
             if entry.expires_at_interval <= now_interval
             and client_id not in self._active_clients
         ]
         for client_id in evicted:
-            del self._cache[client_id]
+            del self.cache[client_id]
         if evicted and self.telemetry is not None:
             self.telemetry.counter("cache.evictions").inc(len(evicted))
         return evicted
 
     @property
     def num_cached_models(self) -> int:
-        return len(self._cache)
+        return len(self.cache)

@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.core.client import MobileClient
 from repro.core.config import PerDNNConfig
-from repro.core.edge_server import EdgeServer
+from repro.core.edge_server import CachedModel, EdgeServer
 from repro.estimation.estimator import ContentionEstimator
 from repro.faults import FaultSchedule, record_fault
 from repro.geo.wifi import EdgeServerRegistry
@@ -36,6 +36,7 @@ from repro.telemetry import (
     CacheEvictionEvent,
     FractionalTruncationEvent,
     MigrationEvent,
+    NullEventTrace,
     Telemetry,
 )
 
@@ -360,14 +361,16 @@ class MasterServer:
         if self.policy is not MigrationPolicy.PERDNN:
             return
         assert self.predictor is not None
-        eligible: list[tuple[MobileClient, np.ndarray]] = []
+        eligible: list[MobileClient] = []
+        windows: list[list[tuple[float, float]]] = []
         for client in clients:
-            window = client.recent_window()
+            window = client.recent_positions()
             if window is None or client.current_server is None:
                 continue
             if not self.server_available(client.current_server, interval):
                 continue
-            eligible.append((client, window))
+            eligible.append(client)
+            windows.append(window)
         if not eligible:
             return
         if (
@@ -375,26 +378,20 @@ class MasterServer:
             and not self.fault_schedule.backhaul_available(interval)
         ):
             if self.telemetry is not None:
-                for client, _ in eligible:
+                for client in eligible:
                     record_fault(
                         self.telemetry, interval, "backhaul_blocked",
                         server_id=client.current_server,
                         client_id=client.client_id,
                     )
             return
-        windows = np.stack([window for _, window in eligible])
-        predictions = self.predictor.predict_points(windows)
-        points = [
-            (float(point[0]), float(point[1])) for point in predictions
-        ]
+        predictions = self.predictor.predict_points(np.array(windows))
         # One chunked radius query for every predicted location; each row
         # equals the scalar ``servers_within`` call.
         targets_list = self.registry.servers_within_batch(
-            points, self.config.migration_radius_m
+            predictions.tolist(), self.config.migration_radius_m
         )
-        self._migrate_batch(
-            [client for client, _ in eligible], targets_list, interval
-        )
+        self._migrate_batch(eligible, targets_list, interval)
 
     def _migrate_batch(
         self,
@@ -417,33 +414,27 @@ class MasterServer:
         per-client transfer loop (the equivalence tests keep one as
         their oracle):
 
-        * **Pass 1** (client order) resolves each client's source server
-          and live targets exactly as the scalar loop would — servers are
-          instantiated in the same order (``step_gpu``/``expire``
-          iteration and merged traces depend on it) and dead-target skips
-          are tallied locally and incremented once (int counters are
-          exact under batching);
+        * **Pass 1** (client order) resolves each client's source and
+          live targets, instantiating servers in the scalar loop's order
+          (``step_gpu``/``expire`` iteration and traces depend on it);
         * **Pass 2** predicts every fresh target's slowdown in one
-          batched :meth:`estimate_slowdowns` call.  First-seen order
-          across clients equals the scalar loop's per-client ping order
-          (the per-interval memo dedups either way), so the shared RNG
-          consumes noise draws in an identical sequence;
-        * **Pass 3** probes one partitioning plan per distinct
-          ``(partitioner, target)`` pair instead of one ``partition()``
-          call per (client, target), compensating the partitioner's
-          plan-cache hit counter for the skipped calls (after the first
-          probe per pair, every scalar call is a hit on the same
-          quantized key — target slowdowns are memoized per interval).
-          Per-pair byte budgets are grouped on the same key and the
-          ``sendable`` caps are computed in one vectorized ``minimum``
-          over the interval's pairs (IEEE-identical to the scalar
+          :meth:`estimate_slowdowns` call; first-seen order across
+          clients is the scalar loop's ping order, so the shared RNG
+          draws the same noise sequence;
+        * **Pass 3** probes one plan per distinct ``(partitioner,
+          target)`` pair, adding the skipped per-client calls to the plan
+          cache's hit counter (each would hit the same key: slowdowns are
+          memoized per interval), and computes the ``sendable`` caps in
+          one vectorized ``minimum`` (IEEE-identical to the scalar
           ``min``);
         * **Pass 4** replays the order-sensitive state in (client,
-          target) order: cache reads/writes, TTL refreshes, traffic
-          records, ``migration.bytes`` float-counter increments (float
-          accumulation order matters), and trace events.
+          target) order: cache entries, TTL refreshes, traffic records,
+          float-counter increments (accumulation order matters) and
+          trace events.
 
-        Crowded-server runs fall back to per-pair budget arithmetic
+        Int counters (dead-target skips, cache lookups, migrations,
+        truncations) are exact under batching: each is tallied and added
+        once.  Crowded-server runs fall back to per-pair budget arithmetic
         (budgets then depend on the *source* too, which the
         per-(partitioner, target) grouping cannot capture); the
         expressions match the scalar path exactly, so bytes still agree.
@@ -460,17 +451,21 @@ class MasterServer:
         pending: list[
             tuple[MobileClient, EdgeServer, float, list[EdgeServer]]
         ] = []
-        dead_skips = 0
+        dead_skips = hits = misses = 0
         ping_order: list[EdgeServer] = []
         fresh_targets: set[int] = set()
         slowdown_memo = self._slowdown_cache
+        servers = self._servers
         for client, targets in zip(clients, targets_list):
             source = self.server(client.current_server)
-            source_bytes = source.cached_bytes(
-                client.client_id, client.model_version
-            )
-            if source_bytes <= 0:
+            entry = source.cache.get(client.client_id)
+            if entry is None or entry.version != client.model_version:
+                misses += 1
                 continue  # nothing to send yet (client still uploading)
+            hits += 1
+            source_bytes = entry.received_bytes
+            if source_bytes <= 0:
+                continue
             source_id = source.server_id
             live: list[EdgeServer] = []
             for target_id in targets:
@@ -481,7 +476,7 @@ class MasterServer:
                 ):
                     dead_skips += 1
                     continue
-                target = self.server(target_id)
+                target = servers.get(target_id) or self.server(target_id)
                 live.append(target)
                 if (
                     target_id not in fresh_targets
@@ -491,13 +486,10 @@ class MasterServer:
                     ping_order.append(target)
             if live:
                 pending.append((client, source, source_bytes, live))
-        if dead_skips and registry is not None:
-            registry.counter("resilience.dead_target_skips").inc(dead_skips)
-        if not pending:
-            return
         # Pass 2: one slowdown batch; afterwards every live target is in
         # the per-interval memo, which pass 3 reads directly.
-        self.estimate_slowdowns(ping_order)
+        if pending:
+            self.estimate_slowdowns(ping_order)
         # Pass 3: grouped plan probes and byte budgets.  ``plan_info``
         # maps (partitioner id, target id) to (plan bytes, budget after
         # backhaul truncation, truncated flag); the crowded path keeps
@@ -533,10 +525,7 @@ class MasterServer:
                     info = (plan_bytes, needed)
                     plan_info[key] = info
                 else:
-                    # The scalar loop calls partition() once per
-                    # (client, target); after the first probe per pair
-                    # every later call is a plan-cache hit on the same
-                    # quantized key.
+                    # A scalar partition() call here would be a hit.
                     partitioner.cache_hits += 1
                 plan_bytes, needed = info
                 if crowded_on and (
@@ -551,17 +540,19 @@ class MasterServer:
                 pair_plan_bytes.append(plan_bytes)
         # Vectorized transfer caps over every (client, target) pair of
         # the interval: np.minimum on float64 equals the scalar min().
-        needed_arr = np.asarray(pair_needed, dtype=np.float64)
-        source_arr = np.asarray(source_bytes_by_client, dtype=np.float64)[
-            np.asarray(pair_clients, dtype=np.intp)
-        ]
-        sendable_arr = np.minimum(needed_arr, source_arr)
+        sendable = np.minimum(
+            np.asarray(pair_needed, dtype=np.float64),
+            np.asarray(source_bytes_by_client, dtype=np.float64)[
+                np.asarray(pair_clients, dtype=np.intp)
+            ],
+        ).tolist()
         # Pass 4: order-sensitive replay in (client, target) order.
         ttl_intervals = self.config.ttl_intervals
         traffic_meter = self.traffic_meter
         trace = telemetry.trace if telemetry is not None else None
-        counter_count = counter_bytes = None
-        truncations = 0
+        events_on = trace is not None and not isinstance(trace, NullEventTrace)
+        counter_bytes = None
+        truncations = migrations = 0
         for pair_index, client_index in enumerate(pair_clients):
             client, source, _, _ = pending[client_index]
             target = pair_targets[pair_index]
@@ -581,18 +572,19 @@ class MasterServer:
                         budget_bytes=needed,
                     )
                 )
-            already = target.cached_bytes(client_id, version)
-            if already >= needed - 1e-6:
-                # Duplicate send avoided; just reset the TTL (§3.B.2).
-                target.refresh_ttl(
-                    client_id, interval, ttl_intervals, version
-                )
-                continue
-            delta = float(sendable_arr[pair_index]) - already
-            if delta <= 0:
-                target.refresh_ttl(
-                    client_id, interval, ttl_intervals, version
-                )
+            entry = target.cache.get(client_id)
+            if entry is not None and entry.version == version:
+                hits += 1
+                already = entry.received_bytes
+            else:
+                misses += 1
+                entry = None
+                already = 0.0
+            delta = sendable[pair_index] - already
+            if already >= needed - 1e-6 or delta <= 0:
+                # Nothing to send (duplicate avoided, §3.B.2): refresh.
+                if entry is not None:
+                    entry.refresh(interval, ttl_intervals)
                 continue
             if faults_on and fault_schedule.migration_dropped(
                 client_id, source.server_id, target_id, interval
@@ -603,34 +595,42 @@ class MasterServer:
                         server_id=target_id, client_id=client_id,
                     )
                 continue
-            target.add_bytes(
-                client_id, delta, interval, ttl_intervals, version
-            )
+            if entry is None:  # ``target.add_bytes``, inline
+                entry = target.cache[client_id] = CachedModel(0.0, 0, version)
+            entry.received_bytes += delta
+            entry.refresh(interval, ttl_intervals)
             if traffic_meter is not None:
                 traffic_meter.record(
                     interval, source.server_id, target_id, delta
                 )
             if registry is not None:
-                if counter_count is None:
-                    counter_count = registry.counter("migration.count")
+                migrations += 1
+                if counter_bytes is None:
+                    counter_added = registry.counter("cache.bytes_added")
                     counter_bytes = registry.counter("migration.bytes")
-                counter_count.inc()
-                # Float accumulation order matters: one inc per record,
-                # in record order, exactly like the scalar loop.
+                # One float inc per record, in record order (it matters).
+                counter_added.inc(delta)
                 counter_bytes.inc(delta)
-                trace.record(
-                    MigrationEvent(
-                        interval=interval,
-                        client_id=client_id,
-                        source_server=source.server_id,
-                        target_server=target_id,
-                        nbytes=delta,
+                if events_on:
+                    trace.record(
+                        MigrationEvent(
+                            interval=interval,
+                            client_id=client_id,
+                            source_server=source.server_id,
+                            target_server=target_id,
+                            nbytes=delta,
+                        )
                     )
-                )
-        if truncations and registry is not None:
-            registry.counter("migration.fractional_truncations").inc(
-                truncations
-            )
+        if registry is not None:
+            for name, labels, tally in (
+                ("resilience.dead_target_skips", None, dead_skips),
+                ("cache.lookups", {"outcome": "hit"}, hits),
+                ("cache.lookups", {"outcome": "miss"}, misses),
+                ("migration.count", None, migrations),
+                ("migration.fractional_truncations", None, truncations),
+            ):
+                if tally:
+                    registry.counter(name, labels).inc(tally)
 
     def expire_caches(self, interval: int) -> None:
         for server in self._servers.values():

@@ -26,6 +26,41 @@ class _RadiusIndex(NamedTuple):
     ys: list[float]  # centers[:, 1] as Python floats
 
 
+def pack_cells(cells: np.ndarray) -> np.ndarray | None:
+    """One int64 key per ``(q, r)`` row, ordered as the rows sort, or None.
+
+    Keys are ``(q - q_min) * r_span + (r - r_min)``: injective, and
+    increasing in lexicographic ``(q, r)`` order, so ``np.unique`` on the
+    keys picks the same first occurrences and groups as ``np.unique(cells,
+    axis=0)`` without its row-wise lexsort.  None when the cells are not
+    signed integers or their bounding box has more cells than int64 keys.
+    """
+    if cells.dtype.kind != "i" or cells.shape[0] == 0:
+        return None
+    q = cells[:, 0].astype(np.int64, copy=False)
+    r = cells[:, 1].astype(np.int64, copy=False)
+    q_min, r_min = int(q.min()), int(r.min())
+    r_span = int(r.max()) - r_min + 1
+    if (int(q.max()) - q_min + 1) * r_span > np.iinfo(np.int64).max:
+        return None
+    # In range by the check above, so the int64 arithmetic is exact.
+    return (q - np.int64(q_min)) * np.int64(r_span) + (r - np.int64(r_min))
+
+
+def unique_cells(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(cells, axis=0, return_index=True, return_inverse=True)``
+    minus the unique rows: the first-occurrence index of each distinct
+    cell and each row's group, through :func:`pack_cells` keys."""
+    keys = pack_cells(cells)
+    _, first, inverse = np.unique(
+        cells if keys is None else keys,
+        axis=0 if keys is None else None,
+        return_index=True,
+        return_inverse=True,
+    )
+    return first, inverse.reshape(-1)
+
+
 class EdgeServerRegistry:
     """Mapping between hex cells, server identifiers, and locations."""
 
@@ -57,7 +92,7 @@ class EdgeServerRegistry:
         if pts.shape[0] == 0:
             return registry
         cells = grid.cells_of(pts)
-        _, first_seen = np.unique(cells, axis=0, return_index=True)
+        first_seen, _ = unique_cells(cells)
         for i in np.sort(first_seen):
             registry.ensure_server(HexCell(int(cells[i, 0]), int(cells[i, 1])))
         return registry
@@ -100,16 +135,16 @@ class EdgeServerRegistry:
             raise ValueError(f"cells must be (n, 2), got {cells.shape}")
         if cells.shape[0] == 0:
             return np.empty(0, dtype=np.int64)
-        unique, inverse = np.unique(cells, axis=0, return_inverse=True)
+        first, inverse = unique_cells(cells)
         lut = np.fromiter(
             (
                 self._cell_to_server.get(HexCell(int(q), int(r)), -1)
-                for q, r in unique
+                for q, r in cells[first].tolist()
             ),
             dtype=np.int64,
-            count=unique.shape[0],
+            count=first.shape[0],
         )
-        return lut[inverse.reshape(-1)]
+        return lut[inverse]
 
     def servers_at_points(self, points: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`server_at` over ``(n, 2)`` points (-1 = none)."""
@@ -210,18 +245,20 @@ class EdgeServerRegistry:
         Row ``i`` of the result equals ``servers_within(points[i],
         distance)`` exactly — the prefilter runs as one chunked
         ``(points, servers)`` distance-squared matrix, and survivors get
-        the same scalar ``math.hypot`` comparison (on the same array
-        reads) the per-point query applies.  Used by the proactive
+        the same scalar ``math.hypot`` comparison (on the same Python
+        floats) the per-point query applies.  Used by the proactive
         migration pass, which needs the radius neighbourhood of every
         client's predicted location each interval.
         """
         if distance < 0:
             raise ValueError("distance must be non-negative")
         points = list(points)
-        centers, ids, _, _ = self._build_radius_index()
+        index = self._build_radius_index()
+        centers, ids = index.centers, index.ids
         if not ids or not points:
             return [[] for _ in points]
         pts = np.asarray(points, dtype=float).reshape(len(points), 2)
+        xs, ys = index.xs, index.ys
         threshold = (distance * (1.0 + 1e-9)) ** 2 + 1e-9
         out: list[list[int]] = []
         # Chunk rows so the candidate matrix stays small regardless of
@@ -237,14 +274,14 @@ class EdgeServerRegistry:
             mask = dx * dx + dy * dy <= threshold
             rows, cols = np.nonzero(mask)
             split_at = np.searchsorted(rows, np.arange(1, block.shape[0]))
-            for row, candidates in enumerate(np.split(cols, split_at)):
-                x, y = block[row, 0], block[row, 1]
+            for (x, y), candidates in zip(
+                block.tolist(), np.split(cols, split_at)
+            ):
                 out.append(
                     [
                         ids[i]
                         for i in candidates.tolist()
-                        if math.hypot(centers[i, 0] - x, centers[i, 1] - y)
-                        <= distance
+                        if math.hypot(xs[i] - x, ys[i] - y) <= distance
                     ]
                 )
         return out

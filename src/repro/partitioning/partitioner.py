@@ -6,12 +6,13 @@ Plans are cached on a quantized slowdown key: the large-scale simulator
 re-partitions every client every interval, and within one interval many
 clients see near-identical server states.  A plan is a pure function of
 its key, so :meth:`DNNPartitioner.warm` can plan every key a contention
-estimator can reach ahead of a run and ship the filled cache with the
-partitioner.
+estimator can reach ahead of a run, and :meth:`DNNPartitioner.fork`
+hands each shard a cache of its own that starts from those plans.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 from repro.dnn.graph import DNNGraph
@@ -114,6 +115,21 @@ class DNNPartitioner:
         for step in range(first, last + 1):
             self.partition(round(step * self._quantum, 6))
         return self.cache_misses - misses
+
+    def fork(self) -> "DNNPartitioner":
+        """A partitioner that starts from this one's plan cache.
+
+        The fork shares the profile, the base costs and every planned
+        :class:`PartitionResult` (frozen), but owns a copy of the cache
+        dict and fresh counters.  Keys either side plans later stay its
+        own, so a fork per shard plans exactly what a private copy of
+        this partitioner would, without copying any plan.
+        """
+        twin = copy.copy(self)
+        twin._cache = dict(self._cache)
+        twin.cache_hits = 0
+        twin.cache_misses = 0
+        return twin
 
     def degraded(
         self, server_slowdown: float, inflation: float

@@ -482,9 +482,10 @@ def _query_windows(run: _Run) -> None:
     only count; one accounting tail records every window.  The rest is
     batched: one plan per ``(server, partitioner)`` pair, with the plan
     cache's hit counter compensated to one call per window; order-free
-    int counters, incremented once per interval; and the windows' latency
+    int counters (cache lookups among them: the servers' caches are read
+    in place), incremented once per interval; and the windows' latency
     runs, consecutive equal latencies merged across the interval and
-    observed once at the end with ``observe_repeated``.
+    observed once at the end with ``observe_runs``.
     ``tests/oracles/reference_paths.py`` keeps the one-client-at-a-time
     loop; the equivalence suites pin the two byte for byte.  The loop is
     the hot path: it reads ``run`` through locals.
@@ -524,6 +525,8 @@ def _query_windows(run: _Run) -> None:
     coldstart_misses = 0
     any_coldstart = False
     coldstart_queries = 0
+    lookup_hits = 0
+    lookup_misses = 0
     per_model: dict[str, int] = {}
     # Overload outcome -> offered windows / completed queries.
     outcome_windows: dict[str, int] = {}
@@ -595,7 +598,14 @@ def _query_windows(run: _Run) -> None:
             if optimal:
                 cached = total_bytes
             else:
-                cached = server.cached_bytes(cid, client.model_version)
+                # ``server.cached_bytes``, with the lookup tallied.
+                entry = server.cache.get(cid)
+                if entry is None or entry.version != client.model_version:
+                    lookup_misses += 1
+                    cached = 0.0
+                else:
+                    lookup_hits += 1
+                    cached = entry.received_bytes
                 if cached > total_bytes:
                     cached = total_bytes
             coldstart = cid in associated_this_step
@@ -714,14 +724,15 @@ def _query_windows(run: _Run) -> None:
             if delta > 0:
                 server.add_bytes(cid, delta, step, ttl, client.model_version)
             else:
-                server.refresh_ttl(cid, step, ttl, client.model_version)
+                # ``server.refresh_ttl``, inline.
+                entry = server.cache.get(cid)
+                if entry is not None and entry.version == client.model_version:
+                    entry.refresh(step, ttl)
 
     if latency_runs:
-        latency_hist = metrics.histogram(
+        metrics.histogram(
             "query.latency_seconds", QUERY_LATENCY_BUCKETS
-        )
-        for latency, times in latency_runs:
-            latency_hist.observe_repeated(latency, times)
+        ).observe_runs(latency_runs)
     if faults_on:
         metrics.counter("resilience.client_intervals").inc(len(active))
         if n_local:
@@ -736,6 +747,12 @@ def _query_windows(run: _Run) -> None:
         metrics.counter("overload.queries", {"outcome": outcome}).inc(count)
     if plan_calls:
         metrics.counter("master.plan.calls").inc(plan_calls)
+    if lookup_hits:
+        metrics.counter("cache.lookups", {"outcome": "hit"}).inc(lookup_hits)
+    if lookup_misses:
+        metrics.counter("cache.lookups", {"outcome": "miss"}).inc(
+            lookup_misses
+        )
     if n_windows:
         metrics.counter("query.windows").inc(n_windows)
     if completed_total:

@@ -174,25 +174,34 @@ def plan_shards(
 
 @dataclass(frozen=True)
 class _ShardJob:
-    """Everything one worker needs to run one shard (spawn-safe)."""
+    """One shard's work: its data, the driver's warmed template pool and
+    live models (shared inline, inherited by a fork, pickled by spawn)."""
 
     index: int
     dataset: TrajectoryDataset | None  # None when spilled to dataset_path
-    partitioner_blob: bytes  # pickled template, warmed to the estimator bound
-    models_blob: bytes  # pickled (predictor, estimator): serialized once
+    partitioners: list[DNNPartitioner]  # the warmed template pool
+    predictor: PointPredictor | None
+    contention_estimator: ContentionEstimator | None
     settings: SimulationSettings
     config: PerDNNConfig
     record_events: bool
     dataset_path: str | None = None  # spilled sub-dataset pickle
 
 
+def _fork(pool: list[DNNPartitioner]) -> list[DNNPartitioner]:
+    """Fork each distinct pool member (one listed twice stays one
+    object, as it would in a pickled copy)."""
+    forks = {id(member): member.fork() for member in pool}
+    return [forks[id(member)] for member in pool]
+
+
 def _run_shard_job(job: _ShardJob) -> LargeScaleResult:
     """Worker entry point: run one shard as a full sub-simulation.
 
-    The trained models arrive as one shared pickle blob — the parent
-    serializes the forest and SVR object graphs once instead of once per
-    shard job.  A spilled job carries only ``dataset_path``: the worker
-    loads its own subset from disk, so the parent never held it.
+    The shard plans on its own fork of the template, so no shard sees a
+    key another shard planned lazily.  A spilled job carries only
+    ``dataset_path``: the worker loads its own subset from disk, so the
+    parent never held it.
     """
     dataset = job.dataset
     if dataset is None:
@@ -202,15 +211,13 @@ def _run_shard_job(job: _ShardJob) -> LargeScaleResult:
                 "nor a dataset_path"
             )
         dataset = ShardDatasetStore.read(job.dataset_path)
-    partitioner = pickle.loads(job.partitioner_blob)
-    predictor, contention_estimator = pickle.loads(job.models_blob)
     return run_large_scale(
         dataset,
-        partitioner,
+        _fork(job.partitioners),
         job.settings,
         config=job.config,
-        predictor=predictor,
-        contention_estimator=contention_estimator,
+        predictor=job.predictor,
+        contention_estimator=job.contention_estimator,
         telemetry=Telemetry.create(record_events=job.record_events),
     )
 
@@ -351,28 +358,24 @@ def run_large_scale_sharded(
 
     Drop-in sibling of :func:`run_large_scale` for populations far past
     what one interval loop can replay.  The predictor and contention
-    estimator are trained once here, through the same
-    :func:`~repro.simulation.training.train_default_models` seam as the
-    unsharded entry point, pickled into one blob, and broadcast to every
-    shard worker; the partitioner is likewise pickled once so each shard
-    starts from an identical plan cache regardless of which worker runs
-    it.
-    With a contention estimator, that template is a copy of the caller's
-    partitioner(s) warmed over every slowdown key up to
-    :meth:`~repro.estimation.estimator.ContentionEstimator.max_slowdown`,
-    so no shard re-solves a plan another shard (or the driver) already
-    solved; keys outside the bound (the analytic fallback, degraded
-    re-plans) are still planned lazily per shard.  Plans are a pure
-    function of their key, so warming changes no merged bytes; the
-    warm-up's re-plans are reported as ``extras["partition_cache"]
-    ["prewarmed"]``.  With ``model_cache_dir`` the trained blob is
-    additionally persisted to disk keyed by :func:`model_fingerprint`,
-    so a repeat run over the same dataset/seed skips training entirely —
-    pickle round-trips every float bit-exactly and the parent consumes no
-    RNG after training, so a cache hit changes no merged bytes; an entry
-    that fails to unpickle is a miss, retrained and overwritten.  The
-    cache only engages when this call would train the default models
-    (explicitly passed ``predictor``/``contention_estimator`` bypass it).
+    estimator are trained once here (through the
+    :func:`~repro.simulation.training.train_default_models` seam the
+    unsharded entry point uses too) and read live by every shard: their
+    predict paths draw no randomness.  Each shard plans on its own
+    :meth:`~repro.partitioning.partitioner.DNNPartitioner.fork` of one
+    template: a fork of the caller's partitioner(s), which stay as
+    passed, warmed with a contention estimator over every slowdown key up
+    to :meth:`~repro.estimation.estimator.ContentionEstimator.max_slowdown`.
+    No shard re-solves a plan the driver solved, and keys outside the
+    bound (the analytic fallback, degraded re-plans) are planned lazily
+    per shard.  Plans are a pure function of their key, so warming
+    changes no merged bytes; ``extras["partition_cache"]["prewarmed"]``
+    counts the warm-up's plans.  With ``model_cache_dir`` the trained
+    models are also pickled to disk keyed by :func:`model_fingerprint`,
+    so a repeat run over the same dataset/seed skips training (pickle
+    round-trips every float bit-exactly, so a hit changes no bytes; an
+    entry that fails to unpickle is retrained and overwritten).  Models
+    passed in bypass the cache.
 
     Shards run under :func:`~repro.simulation.supervisor.supervise`:
     worker crashes and per-shard timeouts are retried with
@@ -445,12 +448,8 @@ def run_large_scale_sharded(
         migration_radius_m=settings.migration_radius_m
     )
     shards = plan_shards(dataset, config, settings, shard_size)
-    chaos = supervision.chaos
-    missing = [
-        index
-        for index in (chaos.always_kill if chaos is not None else ())
-        if not 0 <= index < len(shards)
-    ]
+    kills = supervision.chaos.always_kill if supervision.chaos else ()
+    missing = [index for index in kills if not 0 <= index < len(shards)]
     if missing:
         raise ValueError(
             f"chaos always_kill names shard index(es) {missing}, but the "
@@ -460,7 +459,6 @@ def run_large_scale_sharded(
     # The model cache keys on everything training consumes, and only
     # engages when the default models would be trained right here
     # (caller-supplied models bypass it).
-    models_blob: bytes | None = None
     cache_name: str | None = None
     if (
         model_cache is not None
@@ -473,33 +471,31 @@ def run_large_scale_sharded(
     ):
         key = model_fingerprint(dataset, settings, config, model_names)
         cache_name = f"models-{key}.pkl"
-        models_blob = model_cache.get(cache_name)
-        if models_blob is not None:
+        blob = model_cache.get(cache_name)
+        if blob is not None:
             try:
-                predictor, contention_estimator = pickle.loads(models_blob)
+                predictor, contention_estimator = pickle.loads(blob)
+                cache_name = None  # a hit: nothing to store
             except Exception:
                 # A torn or foreign entry is a miss.  Unpickling corrupt
                 # bytes can raise almost any exception type.
-                models_blob = None
+                pass
     predictor, contention_estimator = train_default_models(
         dataset, pool[0], settings, config,
         np.random.default_rng(settings.seed),
         predictor, contention_estimator,
     )
-    if models_blob is None:
-        models_blob = pickle.dumps((predictor, contention_estimator))
-        if cache_name is not None:
-            model_cache.put(cache_name, models_blob)
-    # Warm a copy (the caller's partitioner stays as passed): every shard
-    # unpickles this template, so each key is planned once per run
-    # instead of once per shard.
-    template = pickle.loads(pickle.dumps(partitioner))
+    if cache_name is not None:
+        model_cache.put(
+            cache_name, pickle.dumps((predictor, contention_estimator))
+        )
+    # Every shard forks this warmed template, so each key is planned
+    # once per run instead of once per shard.
+    template = _fork(pool)
     prewarmed = 0
     if contention_estimator is not None:
         bound = contention_estimator.max_slowdown()
-        for member in template if isinstance(template, list) else [template]:
-            prewarmed += member.warm(bound)
-    partitioner_blob = pickle.dumps(template)
+        prewarmed = sum(member.warm(bound) for member in template)
     dataset_name = dataset.name
 
     completed: set[int] = set()
@@ -546,8 +542,9 @@ def run_large_scale_sharded(
                 _ShardJob(
                     index=shard.index,
                     dataset=job_dataset,
-                    partitioner_blob=partitioner_blob,
-                    models_blob=models_blob,
+                    partitioners=template,
+                    predictor=predictor,
+                    contention_estimator=contention_estimator,
                     settings=replace(
                         settings, seed=shard_seed(settings.seed, shard.index)
                     ),

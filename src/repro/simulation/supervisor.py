@@ -116,6 +116,16 @@ class SupervisorConfig:
             raise ValueError(
                 "timeout_seconds must be positive and finite (or None)"
             )
+        if (
+            self.chaos is not None
+            and self.chaos.hang_rate > 0
+            and self.timeout_seconds is None
+        ):
+            # Nothing would ever end a hung attempt.
+            raise ValueError(
+                "chaos hang_rate > 0 needs timeout_seconds "
+                "(--shard-timeout) to end the hung attempts"
+            )
         if not 0 <= self.backoff_base_seconds < math.inf:
             raise ValueError("backoff_base_seconds must be finite and >= 0")
         if not 0 <= self.backoff_cap_seconds < math.inf:

@@ -20,7 +20,7 @@ import functools
 import itertools
 import math
 import operator
-from collections.abc import Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 
 Labels = tuple[tuple[str, str], ...]
 
@@ -130,35 +130,48 @@ class Histogram:
     def observe_repeated(self, value: float, times: int) -> None:
         """``times`` consecutive ``observe(value)`` calls in one step.
 
-        The bucket walk happens once, but ``sum`` still accumulates one
-        addition per observation: float addition is not associative, and
-        the fast simulation path relies on this method being bit-identical
-        to the equivalent observe() loop.  ``times == 0`` is a no-op that
-        does not register anything.
+        ``sum`` still accumulates one addition per observation: float
+        addition is not associative, and the fast simulation path relies
+        on this being bit-identical to the equivalent observe() loop.
+        ``times == 0`` is a no-op that does not register anything.
         """
-        if times < 0:
+        self.observe_runs(((value, times),))
+
+    def observe_runs(self, runs: Iterable[tuple[float, int]]) -> None:
+        """:meth:`observe_repeated` for each ``(value, times)`` run, in
+        order, bit for bit.
+
+        The bucket walk happens once per distinct value, and ``sum`` is
+        one serial left fold at C speed over every observation of every
+        run: ``((sum + v) + v) + ...``, the same additions in the same
+        order as one ``observe`` call each.  Raises before recording
+        anything when a run has negative ``times``.
+        """
+        runs = [(float(value), times) for value, times in runs]
+        if any(times < 0 for _, times in runs):
             raise ValueError("times must be non-negative")
-        if times == 0:
-            return
-        value = float(value)
-        index = len(self.buckets)
-        for i, bound in enumerate(self.buckets):
-            if value <= bound:
-                index = i
-                break
-        self.counts[index] += times
-        if times == 1:
-            # The fast query path emits one call per latency *run*, which
-            # is frequently a single observation; skip the fold machinery.
-            self.sum += value
-        else:
-            # Serial left fold at C speed: ((sum + v) + v) + ... performs
-            # the exact same one-addition-per-observation sequence as the
-            # Python loop ``for _ in range(times): self.sum += value``.
-            self.sum = functools.reduce(
-                operator.add, itertools.repeat(value, times), self.sum
-            )
-        self.count += times
+        buckets = self.buckets
+        index_of: dict[float, int] = {}
+        total = 0
+        for value, times in runs:
+            index = index_of.get(value)
+            if index is None:
+                index = len(buckets)
+                for i, bound in enumerate(buckets):
+                    if value <= bound:
+                        index = i
+                        break
+                index_of[value] = index
+            self.counts[index] += times
+            total += times
+        self.sum = functools.reduce(
+            operator.add,
+            itertools.chain.from_iterable(
+                itertools.repeat(value, times) for value, times in runs
+            ),
+            self.sum,
+        )
+        self.count += total
 
     @property
     def mean(self) -> float:

@@ -10,6 +10,9 @@ select them:
   ``RandomForestRegressor``;
 * :func:`servers_within` — ``EdgeServerRegistry``'s cell-enumerating
   radius query;
+* :func:`registry_from_visited_points` and :func:`servers_for_cells` —
+  the registry's allocation and cell lookup on ``np.unique(cells,
+  axis=0)`` rows instead of packed integer keys;
 * :class:`QueryRecord`, :func:`run_query_window` and
   :func:`run_local_window` — the query-window integrators that
   materialize one record per query;
@@ -42,6 +45,7 @@ from repro.core.edge_server import EdgeServer
 from repro.core.master import MasterServer, MigrationPolicy
 from repro.core.routing import routed_tensors, routing_overhead_seconds
 from repro.faults import record_fault
+from repro.geo.hexgrid import HexCell, HexGrid
 from repro.geo.wifi import EdgeServerRegistry
 from repro.ml.forest import RandomForestRegressor
 from repro.ml.tree import RegressionTree
@@ -115,6 +119,41 @@ def servers_within(
         if server_id is not None:
             servers.append(server_id)
     return servers
+
+
+def registry_from_visited_points(
+    grid: HexGrid, points: np.ndarray
+) -> EdgeServerRegistry:
+    """Reference allocation: one server per visited cell, first-seen ids
+    from ``np.unique`` over ``(q, r)`` rows."""
+    registry = EdgeServerRegistry(grid)
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    if pts.shape[0] == 0:
+        return registry
+    cells = grid.cells_of(pts)
+    _, first_seen = np.unique(cells, axis=0, return_index=True)
+    for i in np.sort(first_seen):
+        registry.ensure_server(HexCell(int(cells[i, 0]), int(cells[i, 1])))
+    return registry
+
+
+def servers_for_cells(
+    registry: EdgeServerRegistry, cells: np.ndarray
+) -> np.ndarray:
+    """Reference cell lookup: one dict probe per ``np.unique`` row."""
+    cells = np.asarray(cells)
+    if cells.shape[0] == 0:
+        return np.empty(0, dtype=np.int64)
+    unique, inverse = np.unique(cells, axis=0, return_inverse=True)
+    lut = np.fromiter(
+        (
+            registry._cell_to_server.get(HexCell(int(q), int(r)), -1)
+            for q, r in unique
+        ),
+        dtype=np.int64,
+        count=unique.shape[0],
+    )
+    return lut[inverse.reshape(-1)]
 
 
 # ----------------------------------------------------------------------

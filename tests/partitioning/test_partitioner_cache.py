@@ -148,3 +148,33 @@ class TestWarm:
         misses = partitioner.cache_misses
         partitioner.partition(2.6)
         assert partitioner.cache_misses == misses + 1
+
+
+class TestFork:
+    def test_fork_shares_plans_profile_and_costs(self, partitioner):
+        partitioner.warm(3.0)
+        fork = partitioner.fork()
+        assert fork.profile is partitioner.profile
+        assert fork._base_costs is partitioner._base_costs
+        for key, result in partitioner._cache.items():
+            assert fork.partition(key) is result
+        assert fork.cache_misses == 0
+        assert fork.cache_hits == len(partitioner._cache)
+
+    def test_fork_starts_with_fresh_counters(self, partitioner):
+        partitioner.partition(2.0)
+        partitioner.partition(2.0)
+        fork = partitioner.fork()
+        assert fork.cache_hits == fork.cache_misses == 0
+        assert (partitioner.cache_hits, partitioner.cache_misses) == (1, 1)
+
+    def test_lazy_keys_stay_with_whoever_planned_them(self, partitioner):
+        partitioner.partition(1.0)
+        fork = partitioner.fork()
+        sibling = partitioner.fork()
+        fork.partition(5.0)
+        partitioner.partition(7.0)
+        assert set(fork._cache) == {1.0, 5.0}
+        assert set(sibling._cache) == {1.0}
+        assert set(partitioner._cache) == {1.0, 7.0}
+        assert fork.partition(5.0).plan == sibling.partition(5.0).plan

@@ -81,6 +81,17 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SupervisorConfig(**kwargs)
 
+    def test_hang_chaos_needs_a_timeout(self):
+        # Nothing would end a hung attempt: the run would sleep for
+        # hang_seconds per injection instead of failing fast.
+        with pytest.raises(ValueError, match="timeout_seconds"):
+            SupervisorConfig(chaos=WorkerChaos(hang_rate=0.5))
+        assert SupervisorConfig(
+            chaos=WorkerChaos(hang_rate=0.5), timeout_seconds=1.0
+        ).needs_processes
+        # Kill-only chaos still runs without a timeout.
+        SupervisorConfig(chaos=WorkerChaos(kill_rate=0.5))
+
     def test_needs_processes(self):
         assert SupervisorConfig(timeout_seconds=1.0).needs_processes
         assert SupervisorConfig(

@@ -130,3 +130,36 @@ class TestMergeProperties:
             apply(source, op)
         target.merge(source)
         assert target.as_dict() == source.as_dict()
+
+
+class TestObserveRunsProperties:
+    @given(
+        st.lists(
+            st.tuples(
+                # Few distinct values, so runs repeat bucket walks.
+                st.one_of(st.sampled_from([0.5, 0.5001, 7.0]), observations),
+                st.integers(0, 40),
+            ),
+            max_size=40,
+        ),
+        observations,
+    )
+    @settings(max_examples=200)
+    def test_equals_observe_repeated_loop_bit_for_bit(self, runs, start):
+        batched, repeated, single = (
+            Histogram("h", BUCKETS) for _ in range(3)
+        )
+        for hist in (batched, repeated, single):
+            hist.observe(start)  # a non-zero running sum to fold onto
+        batched.observe_runs(runs)
+        for value, times in runs:
+            repeated.observe_repeated(value, times)
+            for _ in range(times):
+                single.observe(value)
+        for looped in (repeated, single):
+            assert batched.counts == looped.counts
+            assert batched.count == looped.count
+            assert math.copysign(1.0, batched.sum) == math.copysign(
+                1.0, looped.sum
+            )
+            assert batched.sum == looped.sum

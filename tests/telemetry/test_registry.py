@@ -236,3 +236,20 @@ class TestObserveRepeated:
     def test_negative_times_rejected(self):
         with pytest.raises(ValueError):
             Histogram("h", (1.0,)).observe_repeated(0.5, -1)
+
+
+class TestObserveRuns:
+    def test_takes_the_query_loop_run_lists(self):
+        runs = [[0.05, 3], [0.7, 0], [2.0, 7], [0.05, 2]]
+        histogram = Histogram("h", (0.1, 1.0, 10.0))
+        histogram.observe_runs(runs)
+        assert histogram.counts == [5, 0, 7, 0]
+        assert histogram.count == 12
+        assert runs == [[0.05, 3], [0.7, 0], [2.0, 7], [0.05, 2]]
+
+    def test_negative_times_rejected_before_recording(self):
+        histogram = Histogram("h", (1.0,))
+        with pytest.raises(ValueError):
+            histogram.observe_runs([(0.5, 2), (0.5, -1)])
+        assert histogram.count == 0 and histogram.sum == 0.0
+        assert histogram.counts == [0, 0]

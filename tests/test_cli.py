@@ -372,6 +372,38 @@ class TestShardedSimulate:
         )
         assert args.chaos_kill_shard == [0, 4]
 
+    @pytest.mark.parametrize(
+        "flag", ["--chaos-seed", "--chaos-max-injections"]
+    )
+    def test_chaos_counts_must_be_non_negative(self, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(
+                ["simulate", "--shard-size", "2", flag, "-1"]
+            )
+        assert exc.value.code == 2
+        assert "non-negative integer" in capsys.readouterr().err
+        args = build_parser().parse_args(["simulate", flag, "0"])
+        assert getattr(args, flag[2:].replace("-", "_")) == 0
+
+    def test_hang_chaos_without_timeout_exits_2_before_set_up(
+        self, capsys, monkeypatch
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("refusal must come before any set-up")
+
+        monkeypatch.setattr(cli, "_make_partitioner", never)
+        monkeypatch.setattr(cli, "_make_dataset", never)
+        assert main(
+            [
+                "simulate", "--model", "mobilenet", "--steps", "4",
+                "--users", "4", "--dataset-steps", "40",
+                "--shard-size", "2", "--chaos-hang", "0.5",
+            ]
+        ) == 2
+        captured = capsys.readouterr()
+        assert "--shard-timeout" in captured.err
+        assert captured.out == ""
+
     def test_chaos_kill_shard_past_the_plan_exits_2(self, capsys):
         assert main(
             [
