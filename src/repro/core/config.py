@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from repro.network.links import LAB_WIFI, NetworkSpeed
@@ -16,8 +17,6 @@ class PerDNNConfig:
     * query gap 0.5 s (the cognitive-assistance workload),
     * trajectory history n = 5, proactive-migration radius r, TTL = 5
       intervals,
-    * plan granularity: upload chunks capped at 2 MB so the incremental
-      latency curve is smooth.
     """
 
     network: NetworkSpeed = field(default_factory=lambda: LAB_WIFI)
@@ -34,24 +33,30 @@ class PerDNNConfig:
     prediction_history: int = 5
     migration_radius_m: float = 100.0
     ttl_intervals: int = 5
-    max_chunk_bytes: float = 2e6
-    slowdown_quantum: float = 0.25
     # A visit counts as a `hit` when at least this share of the plan's
     # server-side bytes is already cached (1.0 = the paper's strict "all
     # layers received" definition; kept configurable for ablations).
     hit_byte_fraction: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.cell_radius_m <= 0:
-            raise ValueError("cell_radius_m must be positive")
-        if self.backhaul_bps <= 0:
-            raise ValueError("backhaul_bps must be positive")
-        if self.backhaul_hop_latency_s < 0:
-            raise ValueError("backhaul_hop_latency_s must be non-negative")
+        if not (self.cell_radius_m > 0 and math.isfinite(self.cell_radius_m)):
+            raise ValueError("cell_radius_m must be positive and finite")
+        if not (self.backhaul_bps > 0 and math.isfinite(self.backhaul_bps)):
+            raise ValueError("backhaul_bps must be positive and finite")
+        if not (
+            self.backhaul_hop_latency_s >= 0
+            and math.isfinite(self.backhaul_hop_latency_s)
+        ):
+            raise ValueError(
+                "backhaul_hop_latency_s must be non-negative and finite"
+            )
         if not self.handover_hysteresis_m >= 0:  # NaN too
             raise ValueError("handover_hysteresis_m must be non-negative")
-        if self.query_gap_seconds < 0:
-            raise ValueError("query_gap_seconds must be non-negative")
+        if not (
+            self.query_gap_seconds >= 0
+            and math.isfinite(self.query_gap_seconds)
+        ):
+            raise ValueError("query_gap_seconds must be non-negative and finite")
         if self.prediction_history < 1:
             raise ValueError("prediction_history must be >= 1")
         if not self.migration_radius_m >= 0:  # NaN too

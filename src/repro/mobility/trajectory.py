@@ -34,6 +34,51 @@ class Trajectory:
     def __len__(self) -> int:
         return self.points.shape[0]
 
+    @classmethod
+    def stacked(
+        cls,
+        user_ids: list[int],
+        interval_seconds: float,
+        lengths: list[int],
+        points: np.ndarray,
+    ) -> tuple["Trajectory", ...]:
+        """One trajectory per user over consecutive row blocks of
+        ``points``, ``lengths[i]`` rows each, as views into it.
+
+        ``points`` must be an ``(n, 2)`` float64 array whose rows the
+        lengths add up to; it and the interval are validated once, for
+        every trajectory.
+        """
+        if not (
+            isinstance(points, np.ndarray)
+            and points.dtype == np.float64
+            and points.ndim == 2
+            and points.shape[1] == 2
+        ):
+            raise ValueError("points must be an (n, 2) float64 array")
+        if not interval_seconds > 0:
+            raise ValueError("interval_seconds must be positive")
+        if len(user_ids) != len(lengths):
+            raise ValueError("one length per user id is required")
+        if any(length < 0 for length in lengths):
+            raise ValueError("lengths must be non-negative")
+        if sum(lengths) != points.shape[0]:
+            raise ValueError(
+                f"lengths add up to {sum(lengths)} rows, not {points.shape[0]}"
+            )
+        make = object.__new__
+        assign = object.__setattr__  # the fields of a frozen dataclass
+        trajectories = []
+        end = 0
+        for user_id, length in zip(user_ids, lengths):
+            start, end = end, end + length
+            trajectory = make(cls)
+            assign(trajectory, "user_id", user_id)
+            assign(trajectory, "interval_seconds", interval_seconds)
+            assign(trajectory, "points", points[start:end])
+            trajectories.append(trajectory)
+        return tuple(trajectories)
+
     def speeds(self) -> np.ndarray:
         """Per-step speeds in m/s (length n-1)."""
         deltas = np.diff(self.points, axis=0)

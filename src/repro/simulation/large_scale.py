@@ -42,8 +42,12 @@ from repro.overload import (
     record_breaker_transition,
 )
 from repro.partitioning.partitioner import DNNPartitioner
-from repro.simulation.query_loop import (
+# ``run_query_window`` and ``run_local_window`` stay importable here: they
+# are the names the reference paths and the tracer patch on this module.
+from repro.simulation.query_loop import (  # noqa: F401
     QUERY_LATENCY_BUCKETS,
+    WindowBatch,
+    integrate_windows,
     run_local_window,
     run_query_window,
 )
@@ -58,11 +62,11 @@ from repro.simulation.vectorized import ClientArrays, propose_associations
 from repro.telemetry import (
     AssociationEvent,
     ColdStartEvent,
-    Histogram,
     NullEventTrace,
     QueryWindowEvent,
     Telemetry,
 )
+from repro.telemetry.registry import MetricsRegistry
 
 
 @dataclass(frozen=True)
@@ -287,6 +291,8 @@ def _association_phase(run: _Run) -> None:
     lets one struct-of-arrays pass propose every association; the loop
     applies them in client order, filling ``run.associated_this_step``
     and, with clients left without a live server, ``run.local_this_step``.
+    It visits only the clients with something to apply: a proposal that
+    differs from their server, or a proposed server that is down.
     """
     step, active, master = run.step, run.active, run.master
     metrics, telemetry = run.metrics, run.telemetry
@@ -300,19 +306,33 @@ def _association_phase(run: _Run) -> None:
     arrays = run.arrays
     positions = [client.advance() for client in active]
     ids = arrays.refresh(active, positions)
+    current_servers = arrays.current_server[ids]
     proposals = propose_associations(
         registry,
         arrays.positions[ids],
-        arrays.current_server[ids],
+        current_servers,
         run.config.handover_hysteresis_m,
     )
-    for index, client in enumerate(active):
+    # Only clients whose proposal differs from their server, or whose
+    # proposed server is down, have anything to apply.  (The fault phase
+    # already orphans the clients of a crashing server, so a proposal
+    # equal to a down current server does not arise; the down check
+    # keeps the loop correct without relying on that.)
+    visit = (proposals != current_servers) | (proposals < 0)
+    if faults_on:
+        down = fault_schedule.servers_down(step)
+        if down:
+            visit |= np.isin(proposals, np.fromiter(down, dtype=np.int64))
+    if routing:
+        # §3.A routing: stay on the first server; only the access cell
+        # changes as the user moves.
+        visit &= current_servers < 0
+    events_on = not isinstance(telemetry.trace, NullEventTrace)
+    steered_count = server_changes = 0
+    for index in np.flatnonzero(visit).tolist():
+        client = active[index]
         position = positions[index]
         assert position is not None
-        if routing and client.current_server is not None:
-            # §3.A routing: stay on the first server; only the access
-            # cell changes as the user moves.
-            continue
         proposed = int(proposals[index])
         server_id = None if proposed < 0 else proposed
         assert server_id is not None, "registry covers every trace point"
@@ -344,7 +364,7 @@ def _association_phase(run: _Run) -> None:
                         client.current_server = None
                     local_this_step.add(client.client_id)
                     continue
-                metrics.counter("overload.steered").inc()
+                steered_count += 1
                 server_id = steered
         if server_id != client.current_server:
             previous_server = client.current_server
@@ -354,19 +374,26 @@ def _association_phase(run: _Run) -> None:
                 if baseline:
                     # IONN re-uploads from scratch after a server change.
                     old.clear_client(client.client_id)
-                metrics.counter("sim.server_changes").inc()
+                server_changes += 1
             master.server(server_id).associate(client.client_id)
             client.current_server = server_id
             associated_this_step.add(client.client_id)
-            metrics.counter("sim.associations").inc()
-            telemetry.trace.record(
-                AssociationEvent(
-                    interval=step,
-                    client_id=client.client_id,
-                    server_id=server_id,
-                    previous_server=previous_server,
+            if events_on:
+                telemetry.trace.record(
+                    AssociationEvent(
+                        interval=step,
+                        client_id=client.client_id,
+                        server_id=server_id,
+                        previous_server=previous_server,
+                    )
                 )
-            )
+    # Int counters, one increment each per interval.
+    if steered_count:
+        metrics.counter("overload.steered").inc(steered_count)
+    if server_changes:
+        metrics.counter("sim.server_changes").inc(server_changes)
+    if associated_this_step:
+        metrics.counter("sim.associations").inc(len(associated_this_step))
 
 
 def _contention_phase(run: _Run) -> None:
@@ -464,31 +491,49 @@ def _overload_gate(
     return "shed", server, None
 
 
-def _query_windows(run: _Run) -> None:
-    """Phase 3: one query window per active client, in one pass.
+class _PartitionerUse:
+    """One partitioner's state in one interval's query-window pass: its
+    model name, all-local latency (resolved on first use), plan per
+    server (slowdowns re-ping each interval) and plan-cache hits owed."""
 
-    A window runs on the device (:func:`run_local_window`, at the
-    partitioner's all-local latency) when no live server was reachable or
-    ``run.admission`` shed it; otherwise the client's server, or a
-    redirect target, serves it under the full plan or a degraded one
-    (:func:`run_query_window`).  Under ``run.routing`` each query's
+    __slots__ = ("partitioner", "model", "local_latency", "plans", "plan_hits")
+
+    def __init__(self, partitioner: DNNPartitioner) -> None:
+        self.partitioner = partitioner
+        self.model = partitioner.graph.name
+        self.local_latency: float | None = None
+        self.plans: dict[int, object] = {}
+        self.plan_hits = 0
+
+
+def _query_windows(run: _Run) -> None:
+    """Phase 3: one query window per active client, in three passes.
+
+    A window runs on the device (at the partitioner's all-local latency)
+    when no live server was reachable or ``run.admission`` shed it;
+    otherwise the client's server, or a redirect target, serves it under
+    the full plan or a degraded one.  Under ``run.routing`` each query's
     tensors are relayed over the backhaul (§3.A), which adds latency and
     is metered as backhaul traffic.
 
-    Clients are walked in order, and every order-sensitive step (breaker
-    gate, admission and redirect probes, lazy slowdown estimates, trace
-    events, upload backoff, routed transfers, server cache updates, the
-    queue-wait histogram) stays inline in that walk.  Both integrators
-    only count; one accounting tail records every window.  The rest is
-    batched: one plan per ``(server, partitioner)`` pair, with the plan
-    cache's hit counter compensated to one call per window; order-free
-    int counters (cache lookups among them: the servers' caches are read
-    in place), incremented once per interval; and the windows' latency
-    runs, consecutive equal latencies merged across the interval and
-    observed once at the end with ``observe_runs``.
+    * **Decide**: one walk in client order keeps every order-sensitive
+      step inline (breaker gate, admission and redirect probes, lazy
+      slowdown estimates, plan lookups, cache reads, cold-start verdicts,
+      upload faults and their trace events) and emits each window's
+      parameters into a :class:`WindowBatch`.  It integrates nothing.
+    * **Integrate**: one :func:`integrate_windows` call over the batch.
+    * **Account**: int counters are array sums over the windows' counts,
+      incremented once per interval; cache writes and TTL refreshes,
+      routed traffic records and the queue-wait observations keep client
+      order; the latency runs are observed once with ``observe_runs``.
+      Each ``QueryWindowEvent`` is spliced in right after its client's
+      decide-pass events.
+
+    One plan serves each ``(server, partitioner)`` pair, with the plan
+    cache's hit counter compensated to one call per window.
     ``tests/oracles/reference_paths.py`` keeps the one-client-at-a-time
-    loop; the equivalence suites pin the two byte for byte.  The loop is
-    the hot path: it reads ``run`` through locals.
+    loop; the equivalence suites pin the two byte for byte.  The decide
+    walk is the hot path: it reads ``run`` through locals.
     """
     active, master, metrics = run.active, run.master, run.metrics
     telemetry, config, interval = run.telemetry, run.config, run.interval
@@ -496,57 +541,65 @@ def _query_windows(run: _Run) -> None:
     faults_on, fault_schedule = run.faults_on, run.fault_schedule
     local_this_step = run.local_this_step
     associated_this_step = run.associated_this_step
-    count_memo, admission = run.count_memo, run.admission
+    admission = run.admission
     trace = telemetry.trace
     events_on = not isinstance(trace, NullEventTrace)
     query_gap = config.query_gap_seconds
-    ttl = config.ttl_intervals
     hit_fraction = config.hit_byte_fraction
     uplink_default = config.network.uplink_bps
     partitioner_for = master.partitioner_for
     # Homogeneous runs share one partitioner across every client; hoist
     # the per-call Mapping check out of the per-client loop.
-    shared_partitioner = (
-        None if isinstance(master.partitioner, Mapping) else master.partitioner
+    shared = (
+        None if isinstance(master.partitioner, Mapping)
+        else _PartitionerUse(master.partitioner)
+    )
+    uses: dict[int, _PartitionerUse] = (
+        {} if shared is None else {id(shared.partitioner): shared}
     )
     server_of = master.server
     registry = master.registry
     grid = registry.grid
-    queue_wait_hist: Histogram | None = None
-    latency_runs: list[list] = []  # [latency, queries], merged in order
 
-    n_windows = 0
-    completed_total = 0
-    local_fallback_total = 0
-    n_local = 0
+    batch = WindowBatch()
+    add_window = batch.rows.append
+    # Per window, for the account pass: the partitioner's model name
+    # (unless one is shared), under overload the outcome (None when no
+    # server was reachable) and, with the trace on, the serving server's
+    # id (None on the device); window indices of on-device fallbacks and
+    # of cold starts.
+    window_models: list[str] = []
+    window_outcomes: list[str | None] = []
+    window_server_ids: list[int | None] = []
+    fallback_windows: list[int] = []
+    coldstart_windows: list[int] = []
+    # (window, server, client, start bytes, valid cache entry or None)
+    # of every served window that uploads into a cache.
+    cache_rows: list[tuple] = []
+    routed_rows: list[tuple] = []  # (window, client, server id, tensors)
+    queue_waits: list[float] = []
+    marks: list[int] = []  # trace length after each client's events
+
     retries = 0
     plan_calls = 0
     coldstart_hits = 0
     coldstart_misses = 0
-    any_coldstart = False
-    coldstart_queries = 0
     lookup_hits = 0
     lookup_misses = 0
-    per_model: dict[str, int] = {}
-    # Overload outcome -> offered windows / completed queries.
+    # Overload outcome -> offered windows.
     outcome_windows: dict[str, int] = {}
-    outcome_queries: dict[str, int] = {}
-    # id(partitioner) -> [model_name, local_latency | None]; plans per
-    # (server, partitioner) pair are per-interval (slowdowns re-ping).
-    partitioner_info: dict[int, list] = {}
-    plan_cache: dict[tuple[int, int], object] = {}
 
-    for client in active:
+    for index, client in enumerate(active):
         cid = client.client_id
-        client_partitioner = (
-            shared_partitioner if shared_partitioner is not None
-            else partitioner_for(cid)
-        )
-        pid = id(client_partitioner)
-        info = partitioner_info.get(pid)
-        if info is None:
-            info = [client_partitioner.graph.name, None]
-            partitioner_info[pid] = info
+        use = shared
+        if use is None:
+            client_partitioner = partitioner_for(cid)
+            use = uses.get(id(client_partitioner))
+            if use is None:
+                use = _PartitionerUse(client_partitioner)
+                uses[id(client_partitioner)] = use
+            window_models.append(use.model)
+        client_partitioner = use.partitioner
         server = None
         outcome = None
         queue_wait = None
@@ -559,21 +612,20 @@ def _query_windows(run: _Run) -> None:
                     client, server, master, admission, telemetry, step
                 )
                 outcome_windows[outcome] = outcome_windows.get(outcome, 0) + 1
-        coldstart = False
+                if queue_wait is not None:
+                    queue_waits.append(queue_wait)
+        if admission is not None:
+            window_outcomes.append(outcome)
         if server is None or outcome == "shed":
             # On-device window: graceful degradation when no live server
             # is reachable, or load shedding — no query is ever dropped.
             server = None  # the device serves it
-            if info[1] is None:
-                info[1] = client_partitioner.local_latency()
-            window = run_local_window(
-                info[1], interval, query_gap, count_memo=count_memo
-            )
-            count = window.count
+            if use.local_latency is None:
+                use.local_latency = client_partitioner.local_latency()
+            add_window((None, 0.0, 0.0, 0.0, use.local_latency))
             # Shedding is a capacity decision, not lost availability.
             if outcome is None:
-                n_local += 1
-                local_fallback_total += count
+                fallback_windows.append(index)
         else:
             if outcome == "degraded":
                 plan = client_partitioner.degraded(
@@ -581,26 +633,27 @@ def _query_windows(run: _Run) -> None:
                     admission.config.degrade_inflation,
                 )
             else:
-                plan_key = (server.server_id, pid)
-                plan = plan_cache.get(plan_key)
+                plan = use.plans.get(server.server_id)
                 if plan is None:
                     plan = client_partitioner.partition(
                         master.estimate_slowdown(server)
                     )
-                    plan_cache[plan_key] = plan
+                    use.plans[server.server_id] = plan
                 else:
                     # One partition() call per window would hit the plan
                     # cache on the same quantized key from the second on.
-                    client_partitioner.cache_hits += 1
+                    use.plan_hits += 1
                 plan_calls += 1
             schedule = plan.schedule
             total_bytes = schedule.total_bytes
+            entry = None
             if optimal:
                 cached = total_bytes
             else:
                 # ``server.cached_bytes``, with the lookup tallied.
                 entry = server.cache.get(cid)
                 if entry is None or entry.version != client.model_version:
+                    entry = None
                     lookup_misses += 1
                     cached = 0.0
                 else:
@@ -608,29 +661,29 @@ def _query_windows(run: _Run) -> None:
                     cached = entry.received_bytes
                 if cached > total_bytes:
                     cached = total_bytes
-            coldstart = cid in associated_this_step
-            # Redirected windows are served away from the association, so
-            # they carry no cold-start verdict for the associated server.
-            if coldstart and outcome != "redirected":
-                threshold = hit_fraction * total_bytes
-                hit = total_bytes <= 0 or cached + 1e-6 >= threshold
-                if hit:
-                    coldstart_hits += 1
-                else:
-                    coldstart_misses += 1
-                if events_on:
-                    trace.record(
-                        ColdStartEvent(
-                            interval=step,
-                            client_id=cid,
-                            server_id=server.server_id,
-                            hit=hit,
-                            cached_bytes=cached,
-                            required_bytes=total_bytes,
+            if cid in associated_this_step:
+                coldstart_windows.append(index)
+                # Redirected windows are served away from the association,
+                # so they carry no cold-start verdict for its server.
+                if outcome != "redirected":
+                    threshold = hit_fraction * total_bytes
+                    hit = total_bytes <= 0 or cached + 1e-6 >= threshold
+                    if hit:
+                        coldstart_hits += 1
+                    else:
+                        coldstart_misses += 1
+                    if events_on:
+                        trace.record(
+                            ColdStartEvent(
+                                interval=step,
+                                client_id=cid,
+                                server_id=server.server_id,
+                                hit=hit,
+                                cached_bytes=cached,
+                                required_bytes=total_bytes,
+                            )
                         )
-                    )
             overhead = 0.0
-            hops = 0
             if routing:
                 hops = grid.hop_distance(
                     grid.cell_of(client.position),
@@ -638,6 +691,10 @@ def _query_windows(run: _Run) -> None:
                 )
                 tensors = routed_tensors(plan.costs, plan.plan)
                 overhead = routing_overhead_seconds(config, hops, tensors)
+                if hops > 0:
+                    routed_rows.append(
+                        (index, client, server.server_id, tensors)
+                    )
             uploading = not optimal
             uplink_bps = uplink_default
             if faults_on and uploading:
@@ -660,91 +717,90 @@ def _query_windows(run: _Run) -> None:
                             uplink_bps = config.network.degraded(
                                 factor
                             ).uplink_bps
-            window = run_query_window(
-                schedule,
-                start_bytes=cached,
-                uplink_bps=uplink_bps,
-                duration=interval,
-                query_gap=query_gap,
-                uploading=uploading,
-                latency_overhead=overhead,
-                queue_wait=queue_wait,
-                count_memo=count_memo,
-            )
-            count = window.count
-            if hops > 0 and count:
-                access_server = registry.server_at(client.position)
-                if (
-                    access_server is not None
-                    and access_server != server.server_id
-                ):
-                    if tensors.uplink_bytes > 0:
-                        master.traffic_meter.record(
-                            step, access_server, server.server_id,
-                            count * tensors.uplink_bytes,
-                        )
-                    if tensors.downlink_bytes > 0:
-                        master.traffic_meter.record(
-                            step, server.server_id, access_server,
-                            count * tensors.downlink_bytes,
-                        )
-        # The accounting tail, shared by every window.
-        n_windows += 1
-        if queue_wait is not None:
-            if queue_wait_hist is None:
-                queue_wait_hist = metrics.histogram(
-                    "overload.queue_wait_seconds", QUEUE_WAIT_BUCKETS
-                )
-            queue_wait_hist.observe(queue_wait)
-        completed_total += count
-        for latency, times in window.runs:
-            if latency_runs and latency_runs[-1][0] == latency:
-                latency_runs[-1][1] += times
-            else:
-                latency_runs.append([latency, times])
-        per_model[info[0]] = per_model.get(info[0], 0) + count
-        if outcome is not None:
-            outcome_queries[outcome] = outcome_queries.get(outcome, 0) + count
-        if coldstart:
-            any_coldstart = True
-            coldstart_queries += count
+            add_window((
+                schedule, cached, uplink_bps / 8.0 if uploading else 0.0,
+                queue_wait or 0.0, overhead,
+            ))
+            if not optimal:
+                cache_rows.append((index, server, client, cached, entry))
         if events_on:
-            trace.record(
-                QueryWindowEvent(
-                    interval=step,
-                    client_id=cid,
-                    server_id=None if server is None else server.server_id,
-                    queries=count,
-                    coldstart=coldstart,
-                    end_bytes=window.end_bytes,
-                )
-            )
-        if server is not None and not optimal:
-            delta = window.end_bytes - cached
-            if delta > 0:
-                server.add_bytes(cid, delta, step, ttl, client.model_version)
-            else:
-                # ``server.refresh_ttl``, inline.
-                entry = server.cache.get(cid)
-                if entry is not None and entry.version == client.model_version:
-                    entry.refresh(step, ttl)
+            window_server_ids.append(None if server is None else server.server_id)
+            marks.append(len(trace))
 
-    if latency_runs:
+    for use in uses.values():
+        use.partitioner.cache_hits += use.plan_hits
+    windows = integrate_windows(
+        batch, interval, query_gap, count_memo=run.count_memo
+    )
+    counts, end_bytes = windows.counts, windows.end_bytes
+
+    # The account pass: what needs client order first.
+    ttl = config.ttl_intervals
+    for index, server, client, cached, entry in cache_rows:
+        delta = end_bytes[index] - cached
+        if delta > 0:
+            server.add_bytes(
+                client.client_id, delta, step, ttl, client.model_version
+            )
+        elif entry is not None:
+            entry.refresh(step, ttl)  # ``server.refresh_ttl``, inline
+    for index, client, server_id, tensors in routed_rows:
+        count = int(counts[index])
+        if not count:
+            continue
+        access_server = registry.server_at(client.position)
+        if access_server is not None and access_server != server_id:
+            if tensors.uplink_bytes > 0:
+                master.traffic_meter.record(
+                    step, access_server, server_id,
+                    count * tensors.uplink_bytes,
+                )
+            if tensors.downlink_bytes > 0:
+                master.traffic_meter.record(
+                    step, server_id, access_server,
+                    count * tensors.downlink_bytes,
+                )
+    if events_on:
+        coldstarts = set(coldstart_windows)
+        trace.splice(marks, [
+            QueryWindowEvent(
+                interval=step,
+                client_id=client.client_id,
+                server_id=server_id,
+                queries=count,
+                coldstart=index in coldstarts,
+                end_bytes=end_bytes[index],
+            )
+            for index, (client, server_id, count) in enumerate(
+                zip(active, window_server_ids, counts.tolist())
+            )
+        ])
+    if queue_waits:
+        metrics.histogram(
+            "overload.queue_wait_seconds", QUEUE_WAIT_BUCKETS
+        ).observe_runs(queue_waits, [1] * len(queue_waits))
+    if windows.run_counts.size:
         metrics.histogram(
             "query.latency_seconds", QUERY_LATENCY_BUCKETS
-        ).observe_runs(latency_runs)
+        ).observe_runs(windows.run_latencies, windows.run_counts)
+
+    # Order-free int counters, one increment each per interval.
+    completed_total = int(counts.sum())
     if faults_on:
         metrics.counter("resilience.client_intervals").inc(len(active))
-        if n_local:
-            metrics.counter("resilience.local_intervals").inc(n_local)
+        if fallback_windows:
+            metrics.counter("resilience.local_intervals").inc(
+                len(fallback_windows)
+            )
         if retries:
             metrics.counter("resilience.retries").inc(retries)
     if outcome_windows:
         metrics.counter("overload.offered").inc(sum(outcome_windows.values()))
-    for outcome, windows in outcome_windows.items():
-        metrics.counter(f"overload.{outcome}").inc(windows)
-    for outcome, count in outcome_queries.items():
-        metrics.counter("overload.queries", {"outcome": outcome}).inc(count)
+        for outcome, windows_offered in outcome_windows.items():
+            metrics.counter(f"overload.{outcome}").inc(windows_offered)
+        _inc_grouped(
+            metrics, "overload.queries", "outcome", window_outcomes, counts
+        )
     if plan_calls:
         metrics.counter("master.plan.calls").inc(plan_calls)
     if lookup_hits:
@@ -753,14 +809,19 @@ def _query_windows(run: _Run) -> None:
         metrics.counter("cache.lookups", {"outcome": "miss"}).inc(
             lookup_misses
         )
-    if n_windows:
-        metrics.counter("query.windows").inc(n_windows)
+    if active:
+        metrics.counter("query.windows").inc(len(active))
     if completed_total:
         metrics.counter("query.completed").inc(completed_total)
+    local_fallback_total = int(counts[fallback_windows].sum())
     if local_fallback_total:
         metrics.counter("query.local_fallback").inc(local_fallback_total)
-    for model_name, count in per_model.items():
-        metrics.counter("sim.queries", {"model": model_name}).inc(count)
+    if shared is None:
+        _inc_grouped(metrics, "sim.queries", "model", window_models, counts)
+    else:
+        metrics.counter("sim.queries", {"model": shared.model}).inc(
+            completed_total
+        )
     if coldstart_hits:
         metrics.counter("sim.cold_start", {"outcome": "hit"}).inc(
             coldstart_hits
@@ -769,8 +830,33 @@ def _query_windows(run: _Run) -> None:
         metrics.counter("sim.cold_start", {"outcome": "miss"}).inc(
             coldstart_misses
         )
-    if any_coldstart:
-        metrics.counter("sim.coldstart_queries").inc(coldstart_queries)
+    if coldstart_windows:
+        metrics.counter("sim.coldstart_queries").inc(
+            int(counts[coldstart_windows].sum())
+        )
+
+
+def _inc_grouped(
+    metrics: MetricsRegistry,
+    name: str,
+    label: str,
+    keys: list[str | None],
+    counts: np.ndarray,
+) -> None:
+    """Add each window's query count to the ``name{label: key}`` counter
+    of its key (``keys[i]`` for window ``i``; None = no counter).
+
+    Every key seen gets its counter, even when its windows completed no
+    query, as one ``inc`` per key would.
+    """
+    groups = {key: code for code, key in enumerate(dict.fromkeys(keys))}
+    codes = np.fromiter(
+        map(groups.__getitem__, keys), dtype=np.int64, count=len(keys)
+    )
+    sums = np.bincount(codes, weights=counts, minlength=len(groups))
+    for key, code in groups.items():
+        if key is not None:
+            metrics.counter(name, {label: key}).inc(int(sums[code]))
 
 
 def _migration_phase(run: _Run) -> None:

@@ -62,13 +62,12 @@ class ClientArrays:
             dtype=np.int64,
             count=len(active),
         )
-        for client, position in zip(active, positions):
-            row = client.client_id
-            self.positions[row, 0] = position[0]
-            self.positions[row, 1] = position[1]
-            self.current_server[row] = (
+        if len(active):
+            self.positions[ids] = positions
+            self.current_server[ids] = [
                 -1 if client.current_server is None else client.current_server
-            )
+                for client in active
+            ]
         return ids
 
     def set_association(self, client_id: int, server_id: int | None) -> None:

@@ -176,6 +176,25 @@ class EventTrace:
         """
         self._events.extend(events)
 
+    def splice(self, positions: list[int], events: list[Event]) -> None:
+        """Insert ``events[i]`` at log position ``positions[i]``.
+
+        Positions index the log as it stands before the call and must be
+        nondecreasing; events bound for one position keep their order.
+        Lets a pass that records some events per item in one walk add
+        each item's closing event in a later walk, right after the
+        item's own events.
+        """
+        log = self._events
+        spliced: list[Event] = []
+        done = 0
+        for position, event in zip(positions, events):
+            spliced.extend(log[done:position])
+            spliced.append(event)
+            done = position
+        spliced.extend(log[done:])
+        self._events = spliced
+
     def __len__(self) -> int:
         return len(self._events)
 
@@ -213,4 +232,7 @@ class NullEventTrace(EventTrace):
         return None
 
     def extend(self, events: Iterable[Event]) -> None:  # noqa: ARG002
+        return None
+
+    def splice(self, positions, events) -> None:  # noqa: ARG002
         return None

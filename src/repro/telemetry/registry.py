@@ -7,7 +7,8 @@ derive their reported results from it; exporters serialize it.
 
 Design constraints (see ISSUE 1):
 
-* zero dependencies — stdlib + nothing else;
+* few dependencies — the stdlib, plus numpy for the batched
+  :meth:`Histogram.observe_runs`;
 * deterministic — metric identity is ``(name, sorted labels)``, exported
   views are sorted, and no wall-clock value ever enters the registry;
 * cheap — recording is a dict lookup plus a float add, so instrumenting
@@ -16,11 +17,10 @@ Design constraints (see ISSUE 1):
 
 from __future__ import annotations
 
-import functools
-import itertools
 import math
-import operator
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterator, Mapping
+
+import numpy as np
 
 Labels = tuple[tuple[str, str], ...]
 
@@ -135,43 +135,43 @@ class Histogram:
         on this being bit-identical to the equivalent observe() loop.
         ``times == 0`` is a no-op that does not register anything.
         """
-        self.observe_runs(((value, times),))
+        self.observe_runs((value,), (times,))
 
-    def observe_runs(self, runs: Iterable[tuple[float, int]]) -> None:
-        """:meth:`observe_repeated` for each ``(value, times)`` run, in
-        order, bit for bit.
+    def observe_runs(self, values, counts) -> None:
+        """``observe_repeated(values[i], counts[i])`` for each run ``i``,
+        in order, bit for bit.
 
-        The bucket walk happens once per distinct value, and ``sum`` is
-        one serial left fold at C speed over every observation of every
-        run: ``((sum + v) + v) + ...``, the same additions in the same
-        order as one ``observe`` call each.  Raises before recording
-        anything when a run has negative ``times``.
+        ``values`` and ``counts`` are parallel sequences or arrays.  Each
+        run's bucket is a ``searchsorted`` on the bounds and the bucket
+        counts one ``bincount``; ``sum`` is one serial left fold over
+        every observation of every run, ``((sum + v) + v) + ...``,
+        carried out by ``np.add.accumulate`` (a sequential fold, unlike
+        the pairwise ``np.sum``): the same additions in the same order as
+        one ``observe`` call each.  Raises before recording anything when
+        a run has a negative count.
         """
-        runs = [(float(value), times) for value, times in runs]
-        if any(times < 0 for _, times in runs):
+        values = np.asarray(values, dtype=float).reshape(-1)
+        counts = np.asarray(counts, dtype=np.int64).reshape(-1)
+        if values.shape != counts.shape:
+            raise ValueError("values and counts must have the same length")
+        if (counts < 0).any():
             raise ValueError("times must be non-negative")
-        buckets = self.buckets
-        index_of: dict[float, int] = {}
-        total = 0
-        for value, times in runs:
-            index = index_of.get(value)
-            if index is None:
-                index = len(buckets)
-                for i, bound in enumerate(buckets):
-                    if value <= bound:
-                        index = i
-                        break
-                index_of[value] = index
-            self.counts[index] += times
-            total += times
-        self.sum = functools.reduce(
-            operator.add,
-            itertools.chain.from_iterable(
-                itertools.repeat(value, times) for value, times in runs
-            ),
-            self.sum,
-        )
-        self.count += total
+        if not values.size:
+            return
+        # First bound >= value (NaN sorts past every bound: overflow).
+        index = np.searchsorted(np.asarray(self.buckets), values, side="left")
+        per_bucket = np.bincount(
+            index, weights=counts, minlength=len(self.counts)
+        ).tolist()
+        self.counts = [
+            count + int(added) for count, added in zip(self.counts, per_bucket)
+        ]
+        observed = np.repeat(values, counts)
+        if observed.size:
+            self.sum = float(
+                np.add.accumulate(np.concatenate(([self.sum], observed)))[-1]
+            )
+        self.count += int(counts.sum())
 
     @property
     def mean(self) -> float:

@@ -1,5 +1,7 @@
 """Tests for config, edge server, client, and master server."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,29 @@ class TestConfig:
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             PerDNNConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "cell_radius_m",
+            "backhaul_bps",
+            "backhaul_hop_latency_s",
+            "query_gap_seconds",
+        ],
+    )
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rejects_nan_and_infinity(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            PerDNNConfig(**{field: value})
+
+    def test_zero_gap_and_hop_latency_are_valid(self):
+        config = PerDNNConfig(query_gap_seconds=0.0, backhaul_hop_latency_s=0.0)
+        assert config.query_gap_seconds == 0.0
+
+    def test_has_no_dead_plan_knobs(self):
+        # The partitioner takes its own quantum and chunk cap.
+        names = set(asdict(PerDNNConfig()))
+        assert not names & {"slowdown_quantum", "max_chunk_bytes"}
 
 
 class TestEdgeServer:

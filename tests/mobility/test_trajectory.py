@@ -67,6 +67,37 @@ def dataset():
     )
 
 
+class TestStacked:
+    def test_views_equal_constructed_trajectories(self):
+        points = np.arange(20.0).reshape(10, 2).copy()
+        stacked = Trajectory.stacked([7, 8, 9], 5.0, [3, 0, 7], points)
+        expected = (
+            Trajectory(7, 5.0, points[:3]),
+            Trajectory(8, 5.0, points[3:3]),
+            Trajectory(9, 5.0, points[3:]),
+        )
+        for got, want in zip(stacked, expected, strict=True):
+            assert got.user_id == want.user_id
+            assert got.interval_seconds == want.interval_seconds
+            assert np.array_equal(got.points, want.points)
+            assert got.points.base is points
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ([0], 5.0, [3], np.zeros((2, 2))),  # lengths add up to 3
+            ([0], 5.0, [-1], np.zeros((0, 2))),  # negative length
+            ([0, 1], 5.0, [2], np.zeros((2, 2))),  # one id too many
+            ([0], 0.0, [2], np.zeros((2, 2))),  # non-positive interval
+            ([0], 5.0, [2], np.zeros((2, 2), dtype=np.float32)),
+            ([0], 5.0, [2], np.zeros((2, 3))),
+        ],
+    )
+    def test_rejects_inconsistent_columns(self, args):
+        with pytest.raises(ValueError):
+            Trajectory.stacked(*args)
+
+
 class TestTrajectoryDataset:
     def test_interval_consistency_enforced(self, dataset):
         with pytest.raises(ValueError):

@@ -151,7 +151,9 @@ class TestObserveRunsProperties:
         )
         for hist in (batched, repeated, single):
             hist.observe(start)  # a non-zero running sum to fold onto
-        batched.observe_runs(runs)
+        batched.observe_runs(
+            [value for value, _ in runs], [times for _, times in runs]
+        )
         for value, times in runs:
             repeated.observe_repeated(value, times)
             for _ in range(times):

@@ -240,16 +240,42 @@ class TestObserveRepeated:
 
 class TestObserveRuns:
     def test_takes_the_query_loop_run_lists(self):
-        runs = [[0.05, 3], [0.7, 0], [2.0, 7], [0.05, 2]]
+        values = np.array([0.05, 0.7, 2.0, 0.05])
+        counts = np.array([3, 0, 7, 2])
         histogram = Histogram("h", (0.1, 1.0, 10.0))
-        histogram.observe_runs(runs)
+        histogram.observe_runs(values, counts)
         assert histogram.counts == [5, 0, 7, 0]
         assert histogram.count == 12
-        assert runs == [[0.05, 3], [0.7, 0], [2.0, 7], [0.05, 2]]
+        assert values.tolist() == [0.05, 0.7, 2.0, 0.05]
+        assert counts.tolist() == [3, 0, 7, 2]
 
     def test_negative_times_rejected_before_recording(self):
         histogram = Histogram("h", (1.0,))
         with pytest.raises(ValueError):
-            histogram.observe_runs([(0.5, 2), (0.5, -1)])
+            histogram.observe_runs([0.5, 0.5], [2, -1])
         assert histogram.count == 0 and histogram.sum == 0.0
         assert histogram.counts == [0, 0]
+
+    def test_mismatched_lengths_rejected(self):
+        with pytest.raises(ValueError):
+            Histogram("h", (1.0,)).observe_runs([0.5, 0.7], [1])
+
+    def test_equals_an_observe_loop(self):
+        buckets = (0.1, 1.0, 10.0)
+        values = [1.0, 0.1, 0.1 + 1e-16, 10.0, 50.0, -0.0, 0.3, 1e-17]
+        counts = [2, 1, 4, 0, 3, 1, 5, 7]
+        batched, looped = Histogram("h", buckets), Histogram("h", buckets)
+        for hist in (batched, looped):
+            hist.observe(0.7)
+        batched.observe_runs(values, counts)
+        for value, times in zip(values, counts):
+            for _ in range(times):
+                looped.observe(value)
+        assert batched.counts == looped.counts
+        assert batched.count == looped.count
+        assert batched.sum == looped.sum  # bitwise: same serial adds
+
+    def test_nan_lands_in_the_overflow_bucket(self):
+        histogram = Histogram("h", (1.0,))
+        histogram.observe_runs([float("nan")], [2])
+        assert histogram.counts == [0, 2]
