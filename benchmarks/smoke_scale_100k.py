@@ -20,10 +20,6 @@ asserts the guarantees the full-scale run depends on:
   and growing the population grows the spill driver's RSS at most half
   as fast as the non-spill driver's.
 
-The runs share a ``--model-cache`` directory, so the first one trains
-and stores the predictor/estimator blob and the later ones load it —
-the byte comparison therefore also smokes cache-hit byte-safety.
-
 Usage (what CI runs)::
 
     PYTHONPATH=src python benchmarks/smoke_scale_100k.py \
@@ -33,7 +29,6 @@ Usage (what CI runs)::
 import argparse
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -118,8 +113,8 @@ def check_spill_rss(seed: int, failures: list[str]) -> None:
             rng, num_users=users, duration_steps=DATASET_STEPS
         )
         predictor, estimator = train_default_models(
-            replace(dataset, trajectories=dataset.trajectories[:4000]),
-            partitioner, settings, config, np.random.default_rng(seed),
+            dataset, partitioner, settings, config,
+            np.random.default_rng(seed),
         )
         for spill in (False, True):
 
@@ -184,7 +179,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--out-dir", default="smoke-100k",
-        help="directory for telemetry snapshots and the model cache",
+        help="directory for telemetry snapshots",
     )
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
@@ -195,7 +190,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     os.makedirs(args.out_dir, exist_ok=True)
-    cache_dir = os.path.join(args.out_dir, "model-cache")
 
     snapshots: dict[int, str] = {}
     failures: list[str] = []
@@ -203,7 +197,7 @@ def main(argv: list[str] | None = None) -> int:
         path = os.path.join(args.out_dir, f"smoke-w{workers}.telemetry.json")
         entry = measure_scale(
             CASE, quick=True, seed=args.seed, repeats=1, workers=workers,
-            model_cache_dir=cache_dir, snapshot=path,
+            snapshot=path,
         )[CASE]
         with open(path, encoding="utf-8") as handle:
             snapshots[workers] = handle.read()
@@ -227,11 +221,6 @@ def main(argv: list[str] | None = None) -> int:
                 f"telemetry for workers={workers} differs from "
                 f"workers={baseline_workers} (must be byte-identical)"
             )
-    if any(
-        name.startswith("models-") for name in os.listdir(cache_dir)
-    ) is False:
-        failures.append("model cache directory has no stored blob")
-
     if args.check_spill_rss:
         check_spill_rss(args.seed, failures)
 
@@ -241,7 +230,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     print(
         f"OK: {len(snapshots)} worker counts byte-identical, "
-        "peak RSS under ceiling, model cache populated"
+        "peak RSS under ceiling"
     )
     return 0
 

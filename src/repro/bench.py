@@ -23,7 +23,7 @@ import statistics
 import tempfile
 import time
 from collections import namedtuple
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -242,12 +242,6 @@ def bench_large_scale(quick: bool, seed: int, repeats: int) -> dict:
 Shape = namedtuple("Shape", "users dataset_steps steps shard_size")
 
 
-#: Every row trains its models on the first this-many users: SVR
-#: training is superlinear in users and untimed, and the blob the shards
-#: receive is the same size either way.
-TRAIN_USERS = 10_000
-
-
 @dataclass(frozen=True)
 class ScaleRow:
     """One city-scale case: quick (CI) and full shapes and its run mode,
@@ -294,7 +288,6 @@ def measure_scale(
     seed: int,
     repeats: int,
     workers: int | None = None,
-    model_cache_dir: str | None = None,
     snapshot: str | None = None,
 ) -> dict:
     """Time the :data:`SCALE_SHAPES` row ``name`` in one forked child.
@@ -307,9 +300,7 @@ def measure_scale(
     costs), it times ``repeats`` rounds of one run per mode, with
     ``record_events=False`` (counters and histograms are unaffected; at
     city scale the trace dominates inter-process transfer).  Training is
-    untimed; with ``model_cache_dir`` the runs instead train (on every
-    user, in the warm-up round only) or load the default models through
-    that cache.  ``snapshot`` receives the warm-up round's telemetry.
+    untimed.  ``snapshot`` receives the warm-up round's telemetry.
 
     Every entry reports ``seconds_min``, ``seconds_median`` and
     ``seconds_all``; the throughput figures divide the client-steps the
@@ -348,15 +339,10 @@ def measure_scale(
         dataset = kaist_like(
             rng, num_users=shape.users, duration_steps=shape.dataset_steps
         )
-        predictor = estimator = None
-        if model_cache_dir is None:
-            head = replace(
-                dataset, trajectories=dataset.trajectories[:TRAIN_USERS]
-            )
-            predictor, estimator = train_default_models(
-                head, _build_partitioner("mobilenet"), settings, config,
-                np.random.default_rng(seed),
-            )
+        predictor, estimator = train_default_models(
+            dataset, _build_partitioner("mobilenet"), settings, config,
+            np.random.default_rng(seed),
+        )
         times: list[list[float]] = [[] for _ in modes]
         for round_ in range(repeats + 1):  # round 0 is an untimed warm-up
             for mode, seconds in zip(modes, times):
@@ -373,12 +359,11 @@ def measure_scale(
                         contention_estimator=estimator,
                         record_events=False,
                         checkpoint_dir=tmp if mode == "checkpoint" else None,
-                        model_cache_dir=model_cache_dir,
                         spill_datasets=mode == "spill",
                     )
                 if round_:
                     seconds.append(time.perf_counter() - start)
-                elif snapshot is not None:  # the run that trains or loads
+                elif snapshot is not None:
                     with open(snapshot, "w", encoding="utf-8") as handle:
                         handle.write(result.telemetry.dumps())
         self_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss

@@ -241,7 +241,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     )
     sharded_only = {
         "--resume": args.resume,
-        "--model-cache": args.model_cache is not None,
         "--allow-partial": args.allow_partial,
         "--shard-timeout": args.shard_timeout is not None,
         "--shard-attempts": args.shard_attempts != 3,
@@ -291,8 +290,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
         profiler = cProfile.Profile()
         profiler.enable()
-    if sharded:
-        try:
+    try:
+        if sharded:
             result = run_large_scale_sharded(
                 dataset,
                 partitioner,
@@ -303,28 +302,28 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 supervision=supervision,
                 checkpoint_dir=args.checkpoint_dir,
                 resume=args.resume,
-                model_cache_dir=args.model_cache,
                 spill_datasets=args.spill_datasets,
             )
-        except ShardError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            for failure in exc.failures:
-                print(f"  {failure.describe()}", file=sys.stderr)
-            if args.checkpoint_dir:
-                print(
-                    f"completed shards are checkpointed in "
-                    f"{args.checkpoint_dir!r}; rerun with --resume to "
-                    "continue, or add --allow-partial to merge without the "
-                    "poison shard",
-                    file=sys.stderr,
-                )
-            return 1
-        except ValueError as exc:
-            # Stale checkpoint, unwritable directory, bad arguments.
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    else:
-        result = run_large_scale(dataset, partitioner, settings, config=config)
+        else:
+            result = run_large_scale(dataset, partitioner, settings, config)
+    except ShardError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        for failure in exc.failures:
+            print(f"  {failure.describe()}", file=sys.stderr)
+        if args.checkpoint_dir:
+            print(
+                f"completed shards are checkpointed in "
+                f"{args.checkpoint_dir!r}; rerun with --resume to "
+                "continue, or add --allow-partial to merge without the "
+                "poison shard",
+                file=sys.stderr,
+            )
+        return 1
+    except ValueError as exc:
+        # Stale checkpoint, unwritable directory, bad arguments, traces
+        # too short to train on.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if profiler is not None:
         import pstats
 
@@ -475,6 +474,10 @@ def cmd_telemetry(args: argparse.Namespace) -> int:
     except FileNotFoundError:
         print(f"error: no such snapshot: {args.snapshot}", file=sys.stderr)
         return 1
+    except OSError as exc:
+        print(f"error: cannot read snapshot {args.snapshot}: {exc.strerror}",
+              file=sys.stderr)
+        return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -552,11 +555,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="skip shards already completed in "
                                "--checkpoint-dir by an interrupted run "
                                "(settings fingerprint must match)")
-    simulate.add_argument("--model-cache", metavar="DIR", default=None,
-                          help="cache the trained predictor/estimator "
-                               "blob here, keyed by a model fingerprint; "
-                               "repeat runs over the same dataset/seed "
-                               "skip training (sharded runs only)")
     simulate.add_argument("--spill-datasets", action="store_true",
                           help="spill each shard's trajectory subset to "
                                "disk at plan time and stream results, so "

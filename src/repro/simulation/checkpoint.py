@@ -36,22 +36,14 @@ from repro.core.config import PerDNNConfig
 from repro.geo.geometry import BoundingBox
 from repro.mobility.trajectory import Trajectory, TrajectoryDataset
 from repro.network.traffic import TrafficSummary
+from repro.simulation import training
 from repro.telemetry import Event, MetricsRegistry, event_from_dict
 
 #: Schema tags (bumped together when the on-disk layout changes).
 CHECKPOINT_SCHEMA = "perdnn-checkpoint/1"
 SHARD_SCHEMA = "perdnn-shard/1"
-MODELS_SCHEMA = "perdnn-models/1"
 
 MANIFEST_NAME = "MANIFEST.json"
-
-
-def _hash_trajectories(hasher, dataset: TrajectoryDataset) -> None:
-    """Feed every trajectory's point count and float64 bytes to ``hasher``."""
-    for trajectory in dataset.trajectories:
-        points = np.ascontiguousarray(trajectory.points, dtype=np.float64)
-        hasher.update(str(points.shape[0]).encode())
-        hasher.update(points.tobytes())
 
 
 def run_fingerprint(
@@ -67,12 +59,16 @@ def run_fingerprint(
     Two invocations agree on the fingerprint iff they would produce
     byte-identical shards: same trajectory data (hashed point-by-point,
     not by name), same settings/config, same decomposition target, same
-    model pool, and same event-trace setting.  ``workers`` is
-    deliberately absent — shard results never depend on it.
+    model pool, same predictor-training bound and same event-trace
+    setting.  ``workers`` is deliberately absent — shard results never
+    depend on it.
     """
     hasher = hashlib.sha256()
     hasher.update(CHECKPOINT_SCHEMA.encode())
-    _hash_trajectories(hasher, dataset)
+    for trajectory in dataset.trajectories:
+        points = np.ascontiguousarray(trajectory.points, dtype=np.float64)
+        hasher.update(str(points.shape[0]).encode())
+        hasher.update(points.tobytes())
     faults = settings.faults
     payload = {
         "dataset": {
@@ -102,43 +98,11 @@ def run_fingerprint(
         "shard_size": shard_size,
         "models": list(model_names),
         "record_events": bool(record_events),
+        "train_users": training.TRAIN_USERS,
     }
     hasher.update(
         json.dumps(payload, sort_keys=True, default=str).encode()
     )
-    return hasher.hexdigest()
-
-
-def model_fingerprint(
-    dataset: TrajectoryDataset,
-    settings,
-    config: PerDNNConfig,
-    model_names: list[str],
-) -> str:
-    """Digest everything that determines the *trained models*.
-
-    Strictly coarser than :func:`run_fingerprint`: two runs that agree
-    here train bit-identical predictor/estimator pairs even if they
-    differ in shard size, fault profile, horizon, or event-trace setting —
-    model training consumes only the train split (dataset +
-    ``replay_fraction``), the run seed, the policy (whether a mobility
-    predictor is fit at all), the prediction history length, the
-    contention-estimator toggle, and the partitioner pool (the estimator
-    profiles the first model's layers).
-    """
-    hasher = hashlib.sha256()
-    hasher.update(MODELS_SCHEMA.encode())
-    _hash_trajectories(hasher, dataset)
-    payload = {
-        "interval_seconds": dataset.interval_seconds,
-        "replay_fraction": settings.replay_fraction,
-        "seed": settings.seed,
-        "policy": settings.policy.value,
-        "use_contention_estimator": settings.use_contention_estimator,
-        "prediction_history": config.prediction_history,
-        "models": list(model_names),
-    }
-    hasher.update(json.dumps(payload, sort_keys=True, default=str).encode())
     return hasher.hexdigest()
 
 
@@ -148,9 +112,7 @@ class ArtifactStore:
 
     Writes are atomic and durable — a temp file is flushed and fsynced
     before it is renamed into place — so a crash or Ctrl-C can never
-    leave a half-written artifact under its real name.  The trained
-    model cache (``models-<fingerprint>.pkl``, keyed by
-    :func:`model_fingerprint`) uses this class directly; the dataset
+    leave a half-written artifact under its real name.  The dataset
     spill and the checkpoint add their file formats on top of it.
     """
 
@@ -185,14 +147,6 @@ class ArtifactStore:
             os.fsync(handle.fileno())
         os.replace(temp, path)
         return path
-
-    def get(self, name: str) -> bytes | None:
-        """The bytes stored as ``name``; None if missing or unreadable."""
-        try:
-            with open(self.path(name), "rb") as handle:
-                return handle.read()
-        except OSError:
-            return None
 
     def cleanup(self, prefix: str) -> None:
         """Best-effort removal of the files named ``prefix*``, then of the

@@ -33,7 +33,6 @@ collision-free.
 from __future__ import annotations
 
 import os
-import pickle
 import tempfile
 from dataclasses import dataclass, fields, replace
 from typing import Iterable, Iterator
@@ -41,7 +40,6 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from repro.core.config import PerDNNConfig
-from repro.core.master import MigrationPolicy
 from repro.estimation.estimator import ContentionEstimator
 from repro.faults import FaultSchedule
 from repro.geo.hexgrid import HexGrid
@@ -50,11 +48,9 @@ from repro.mobility.trajectory import TrajectoryDataset, replay_cut
 from repro.network.traffic import TrafficFold
 from repro.partitioning.partitioner import DNNPartitioner
 from repro.simulation.checkpoint import (
-    ArtifactStore,
     CheckpointStore,
     ShardDatasetStore,
     ShardRecord,
-    model_fingerprint,
     run_fingerprint,
 )
 from repro.simulation.large_scale import SimulationSettings, run_large_scale
@@ -351,7 +347,6 @@ def run_large_scale_sharded(
     supervision: SupervisorConfig | None = None,
     checkpoint_dir: str | os.PathLike | None = None,
     resume: bool = False,
-    model_cache_dir: str | os.PathLike | None = None,
     spill_datasets: bool = False,
 ) -> LargeScaleResult:
     """Run the large-scale simulation sharded over supervised workers.
@@ -370,12 +365,7 @@ def run_large_scale_sharded(
     bound (the analytic fallback, degraded re-plans) are planned lazily
     per shard.  Plans are a pure function of their key, so warming
     changes no merged bytes; ``extras["partition_cache"]["prewarmed"]``
-    counts the warm-up's plans.  With ``model_cache_dir`` the trained
-    models are also pickled to disk keyed by :func:`model_fingerprint`,
-    so a repeat run over the same dataset/seed skips training (pickle
-    round-trips every float bit-exactly, so a hit changes no bytes; an
-    entry that fails to unpickle is retrained and overwritten).  Models
-    passed in bypass the cache.
+    counts the warm-up's plans.
 
     Shards run under :func:`~repro.simulation.supervisor.supervise`:
     worker crashes and per-shard timeouts are retried with
@@ -440,10 +430,6 @@ def run_large_scale_sharded(
     if checkpoint_dir is not None:
         store = CheckpointStore(checkpoint_dir)
         store.prepare()
-    model_cache = None
-    if model_cache_dir is not None:
-        model_cache = ArtifactStore(model_cache_dir)
-        model_cache.prepare()
     config = config or PerDNNConfig(
         migration_radius_m=settings.migration_radius_m
     )
@@ -456,39 +442,11 @@ def run_large_scale_sharded(
             f"run plans {len(shards)} shard(s)"
         )
     model_names = sorted({p.graph.name for p in pool})
-    # The model cache keys on everything training consumes, and only
-    # engages when the default models would be trained right here
-    # (caller-supplied models bypass it).
-    cache_name: str | None = None
-    if (
-        model_cache is not None
-        and predictor is None
-        and contention_estimator is None
-        and (
-            settings.policy is MigrationPolicy.PERDNN
-            or settings.use_contention_estimator
-        )
-    ):
-        key = model_fingerprint(dataset, settings, config, model_names)
-        cache_name = f"models-{key}.pkl"
-        blob = model_cache.get(cache_name)
-        if blob is not None:
-            try:
-                predictor, contention_estimator = pickle.loads(blob)
-                cache_name = None  # a hit: nothing to store
-            except Exception:
-                # A torn or foreign entry is a miss.  Unpickling corrupt
-                # bytes can raise almost any exception type.
-                pass
     predictor, contention_estimator = train_default_models(
         dataset, pool[0], settings, config,
         np.random.default_rng(settings.seed),
         predictor, contention_estimator,
     )
-    if cache_name is not None:
-        model_cache.put(
-            cache_name, pickle.dumps((predictor, contention_estimator))
-        )
     # Every shard forks this warmed template, so each key is planned
     # once per run instead of once per shard.
     template = _fork(pool)

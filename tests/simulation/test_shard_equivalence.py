@@ -232,51 +232,6 @@ class TestModelBroadcast:
         )
         assert implicit.telemetry.dumps() == explicit.telemetry.dumps()
 
-    def test_model_cache_hit_is_byte_identical(
-        self, dataset, tiny_partitioner, tmp_path, monkeypatch
-    ):
-        cache_dir = tmp_path / "models"
-        settings = make_settings()
-        trained = run_sharded(
-            dataset, tiny_partitioner, settings,
-            model_cache_dir=cache_dir,
-        )
-        cached_blobs = list(cache_dir.glob("models-*.pkl"))
-        assert len(cached_blobs) == 1
-        # Prove the second run loads instead of training: training must
-        # never be reached.
-        import repro.simulation.training as training
-
-        def boom(*args, **kwargs):
-            raise AssertionError("cache hit should skip training")
-
-        monkeypatch.setattr(training, "train_default_predictor", boom)
-        monkeypatch.setattr(training, "train_default_estimator", boom)
-        cached = run_sharded(
-            dataset, tiny_partitioner, settings,
-            model_cache_dir=cache_dir,
-        )
-        assert trained.telemetry.dumps() == cached.telemetry.dumps()
-
-    def test_corrupt_model_cache_entry_is_retrained(
-        self, dataset, tiny_partitioner, tmp_path
-    ):
-        # A truncated entry is a miss: the run retrains, exports the
-        # fresh run's bytes, and rewrites the entry whole.
-        cache_dir = tmp_path / "models"
-        settings = make_settings()
-        fresh = run_sharded(
-            dataset, tiny_partitioner, settings, model_cache_dir=cache_dir,
-        )
-        (blob,) = cache_dir.glob("models-*.pkl")
-        whole = blob.read_bytes()
-        blob.write_bytes(whole[: len(whole) // 2])
-        retrained = run_sharded(
-            dataset, tiny_partitioner, settings, model_cache_dir=cache_dir,
-        )
-        assert retrained.telemetry.dumps() == fresh.telemetry.dumps()
-        assert blob.read_bytes() == whole
-
     def test_supplied_models_skip_the_time_split(
         self, dataset, tiny_partitioner, monkeypatch
     ):
@@ -302,47 +257,6 @@ class TestModelBroadcast:
             predictor=predictor, contention_estimator=estimator,
         )
         assert supplied.telemetry.dumps() == trained.telemetry.dumps()
-
-    def test_model_cache_keys_on_seed(
-        self, dataset, tiny_partitioner, tmp_path
-    ):
-        cache_dir = tmp_path / "models"
-        run_sharded(
-            dataset, tiny_partitioner, make_settings(seed=3),
-            model_cache_dir=cache_dir,
-        )
-        run_sharded(
-            dataset, tiny_partitioner, make_settings(seed=4),
-            model_cache_dir=cache_dir,
-        )
-        assert len(list(cache_dir.glob("models-*.pkl"))) == 2
-
-    def test_explicit_models_bypass_cache(
-        self, dataset, tiny_partitioner, tmp_path
-    ):
-        from repro.core.config import PerDNNConfig
-        from repro.simulation.large_scale import (
-            train_default_estimator,
-            train_default_predictor,
-        )
-
-        settings = make_settings()
-        config = PerDNNConfig(migration_radius_m=settings.migration_radius_m)
-        rng = np.random.default_rng(settings.seed)
-        train, _ = dataset.split_time(settings.replay_fraction)
-        predictor = train_default_predictor(
-            train, config.prediction_history, rng
-        )
-        estimator = train_default_estimator(tiny_partitioner, rng)
-        cache_dir = tmp_path / "models"
-        run_sharded(
-            dataset, tiny_partitioner, settings,
-            predictor=predictor, contention_estimator=estimator,
-            model_cache_dir=cache_dir,
-        )
-        # Caller-supplied models are not the default-trained pair, so
-        # nothing may be cached under the default fingerprint.
-        assert list(cache_dir.glob("models-*.pkl")) == []
 
 
 class TestShardPlan:

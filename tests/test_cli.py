@@ -267,6 +267,21 @@ class TestCommands:
         assert main(["telemetry", str(tmp_path / "nope.json")]) == 1
         assert "no such snapshot" in capsys.readouterr().err
 
+    def test_telemetry_directory_errors(self, capsys, tmp_path):
+        assert main(["telemetry", str(tmp_path)]) == 1
+        assert "cannot read snapshot" in capsys.readouterr().err
+
+    def test_simulate_traces_too_short_to_train_exit_2(self, capsys):
+        assert main(
+            [
+                "simulate", "--model", "mobilenet", "--users", "1",
+                "--dataset-steps", "2", "--steps", "2",
+            ]
+        ) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert "prediction_history" in captured.err
+
     def test_faults_lists_profiles(self, capsys):
         assert main(["faults"]) == 0
         out = capsys.readouterr().out
@@ -415,6 +430,17 @@ class TestShardedSimulate:
         captured = capsys.readouterr()
         assert "always_kill" in captured.err and "[99]" in captured.err
         assert "sharding:" not in captured.out
+
+    def test_traces_too_short_to_train_exit_2(self, capsys):
+        assert main(
+            [
+                "simulate", "--model", "mobilenet", "--users", "2",
+                "--dataset-steps", "3", "--shard-size", "1",
+            ]
+        ) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert "prediction_history" in captured.err
 
     def test_sharded_run_reports_decomposition(self, capsys):
         assert main(
