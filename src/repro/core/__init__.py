@@ -3,7 +3,8 @@
 * :class:`PerDNNConfig` — every tunable of the system in one place.
 * :class:`EdgeServer` — per-cell server: GPU contention state, per-client
   layer cache with TTL, nvml-style statistics.
-* :class:`MobileClient` — a trajectory-driven client running one DNN model.
+* :class:`MobileClient` — one client running one DNN model: its server,
+  model version, upload backoff and breakers.
 * :class:`MasterServer` — the controller: GPU-aware partitioning via the
   execution-time estimator, mobility prediction, proactive (optionally
   fractional) migration of server-side layers over the backhaul.

@@ -1,36 +1,25 @@
 """Mobile client state.
 
-A client replays its trajectory, keeps the sliding window of recent
-positions it reports to the master (the *current trajectory* of §3.B), and
-remembers which edge server it is associated with.
+A client remembers which edge server it is associated with, the
+generation of its personal model, its upload backoff and its circuit
+breakers.  Where it is comes from the run's
+:class:`~repro.mobility.trajectory.ReplayTable`: client ``i`` replays
+tail ``i`` of that table, which also yields the window of recent
+positions the master predicts from (the *current trajectory* of §3.B).
 """
 
 from __future__ import annotations
 
-from collections import deque
-
-import numpy as np
-
 from repro.faults.schedule import DEFAULT_BACKOFF_CAP, backoff_intervals
-from repro.mobility.trajectory import Trajectory
 from repro.overload.breaker import CircuitBreaker
 
 
 class MobileClient:
-    """One trajectory-driven mobile user running a personal DNN model."""
+    """One mobile user running a personal DNN model."""
 
-    def __init__(self, client_id: int, trajectory: Trajectory, history: int) -> None:
-        if history < 1:
-            raise ValueError("history must be >= 1")
+    def __init__(self, client_id: int) -> None:
         self.client_id = client_id
-        self.trajectory = trajectory
-        self.history = history
-        # Replay traces are immutable; caching the final index keeps the
-        # per-step ``finished``/``advance`` checks off the len() chain.
-        self._final_step = len(trajectory) - 1
-        self._recent: deque[tuple[float, float]] = deque(maxlen=history)
         self.current_server: int | None = None
-        self.step_index = -1
         # Model generation: bumped when the client retrains/replaces its
         # personal DNN (paper §I), invalidating all cached copies.
         self.model_version = 0
@@ -91,36 +80,3 @@ class MobileClient:
             breaker = CircuitBreaker(failure_threshold, open_intervals)
             self._breakers[server_id] = breaker
         return breaker
-
-    @property
-    def finished(self) -> bool:
-        return self.step_index >= self._final_step
-
-    def advance(self) -> tuple[float, float] | None:
-        """Move to the next trajectory point; None when the trace ended."""
-        if self.step_index >= self._final_step:
-            return None
-        self.step_index += 1
-        point = self.trajectory.points[self.step_index]
-        position = (float(point[0]), float(point[1]))
-        self._recent.append(position)
-        return position
-
-    @property
-    def position(self) -> tuple[float, float]:
-        if self.step_index < 0:
-            raise RuntimeError("client has not advanced yet")
-        point = self.trajectory.points[self.step_index]
-        return (float(point[0]), float(point[1]))
-
-    def recent_window(self) -> np.ndarray | None:
-        """The last ``history`` positions, or None if not yet enough."""
-        positions = self.recent_positions()
-        return None if positions is None else np.array(positions)
-
-    def recent_positions(self) -> list[tuple[float, float]] | None:
-        """:meth:`recent_window` as ``(x, y)`` tuples, which batch callers
-        stack into one array in a single call."""
-        if len(self._recent) < self.history:
-            return None
-        return list(self._recent)

@@ -17,7 +17,7 @@ and the mobility predictor.  Every simulation interval it:
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Mapping, Sequence
 from enum import Enum
 from typing import TYPE_CHECKING
 
@@ -69,7 +69,7 @@ class MasterServer:
         traffic_meter: TrafficMeter | None = None,
         crowded_servers: frozenset[int] = frozenset(),
         crowded_byte_budget: float = float("inf"),
-        telemetry: Telemetry | None = None,
+        telemetry: Telemetry | None = None,  # None: a fresh Telemetry
         fault_schedule: FaultSchedule | None = None,
     ) -> None:
         if policy is MigrationPolicy.PERDNN and predictor is None:
@@ -83,7 +83,9 @@ class MasterServer:
         self.traffic_meter = traffic_meter
         self.crowded_servers = crowded_servers
         self.crowded_byte_budget = crowded_byte_budget
-        self.telemetry = telemetry
+        self.telemetry = (
+            telemetry if telemetry is not None else Telemetry.create()
+        )
         self.fault_schedule = fault_schedule
         self._rng = rng
         self._servers: dict[int, EdgeServer] = {}
@@ -101,8 +103,9 @@ class MasterServer:
         if existing is not None:
             return existing
         cell = self.registry.cell_of_server(server_id)
-        metrics = self.telemetry.registry if self.telemetry else None
-        server = EdgeServer(server_id, cell, self._rng, telemetry=metrics)
+        server = EdgeServer(
+            server_id, cell, self._rng, telemetry=self.telemetry.registry
+        )
         self._servers[server_id] = server
         return server
 
@@ -262,8 +265,7 @@ class MasterServer:
         cached = self._slowdown_cache.get(server.server_id)
         if cached is not None:
             return cached
-        if self.telemetry is not None:
-            self.telemetry.registry.counter("master.gpu_pings").inc()
+        self.telemetry.registry.counter("master.gpu_pings").inc()
         if self.contention_estimator is not None:
             slowdown = self.contention_estimator.predict_slowdown(
                 server.sample_stats()
@@ -302,10 +304,7 @@ class MasterServer:
                 pending.setdefault(server.server_id, server)
         if not pending:
             return out
-        if self.telemetry is not None:
-            self.telemetry.registry.counter("master.gpu_pings").inc(
-                len(pending)
-            )
+        self.telemetry.registry.counter("master.gpu_pings").inc(len(pending))
         if self.contention_estimator is not None:
             stats = [server.sample_stats() for server in pending.values()]
             slowdowns = self.contention_estimator.predict_slowdown_batch(
@@ -343,15 +342,19 @@ class MasterServer:
     # Proactive migration
     # ------------------------------------------------------------------
     def proactive_migrate_batch(
-        self, clients: Iterable[MobileClient], interval: int
+        self,
+        clients: Sequence[MobileClient],
+        windows: np.ndarray,
+        interval: int,
     ) -> None:
         """Predict every client's next location and push layers ahead (§3.B.2).
 
-        Clients without a full mobility window, without a server, or on a
-        dark server are skipped.  A backhaul outage blocks every transfer
-        of the interval (one ``backhaul_blocked`` fault per eligible
-        client; the master retries at the next interval).  Otherwise all
-        next locations come from a single
+        ``windows`` is ``(len(clients), prediction_history, 2)``: each
+        client's last positions, oldest first.  Clients without a server,
+        or on a dark server, are skipped.  A backhaul outage blocks every
+        transfer of the interval (one ``backhaul_blocked`` fault per
+        eligible client; the master retries at the next interval).
+        Otherwise all next locations come from a single
         :meth:`PointPredictor.predict_points` call (whose per-row output is
         bit-identical to the scalar ``predict_point`` — the predictors
         compute row-independently) and :meth:`_migrate_batch` pushes the
@@ -362,30 +365,29 @@ class MasterServer:
             return
         assert self.predictor is not None
         eligible: list[MobileClient] = []
-        windows: list[list[tuple[float, float]]] = []
-        for client in clients:
-            window = client.recent_positions()
-            if window is None or client.current_server is None:
-                continue
-            if not self.server_available(client.current_server, interval):
+        rows: list[int] = []
+        for row, client in enumerate(clients):
+            server_id = client.current_server
+            if server_id is None or not self.server_available(
+                server_id, interval
+            ):
                 continue
             eligible.append(client)
-            windows.append(window)
+            rows.append(row)
         if not eligible:
             return
         if (
             self.fault_schedule is not None
             and not self.fault_schedule.backhaul_available(interval)
         ):
-            if self.telemetry is not None:
-                for client in eligible:
-                    record_fault(
-                        self.telemetry, interval, "backhaul_blocked",
-                        server_id=client.current_server,
-                        client_id=client.client_id,
-                    )
+            for client in eligible:
+                record_fault(
+                    self.telemetry, interval, "backhaul_blocked",
+                    server_id=client.current_server,
+                    client_id=client.client_id,
+                )
             return
-        predictions = self.predictor.predict_points(np.array(windows))
+        predictions = self.predictor.predict_points(windows[rows])
         # One chunked radius query for every predicted location; each row
         # equals the scalar ``servers_within`` call.
         targets_list = self.registry.servers_within_batch(
@@ -441,7 +443,7 @@ class MasterServer:
         """
         fault_schedule = self.fault_schedule
         telemetry = self.telemetry
-        registry = telemetry.registry if telemetry is not None else None
+        registry = telemetry.registry
         backhaul_factor = (
             fault_schedule.backhaul_factor(interval)
             if fault_schedule is not None else 1.0
@@ -549,8 +551,8 @@ class MasterServer:
         # Pass 4: order-sensitive replay in (client, target) order.
         ttl_intervals = self.config.ttl_intervals
         traffic_meter = self.traffic_meter
-        trace = telemetry.trace if telemetry is not None else None
-        events_on = trace is not None and not isinstance(trace, NullEventTrace)
+        trace = telemetry.trace
+        events_on = not isinstance(trace, NullEventTrace)
         counter_bytes = None
         truncations = migrations = 0
         for pair_index, client_index in enumerate(pair_clients):
@@ -560,7 +562,7 @@ class MasterServer:
             client_id = client.client_id
             version = client.model_version
             needed = pair_needed[pair_index]
-            if telemetry is not None and needed < pair_plan_bytes[pair_index]:
+            if needed < pair_plan_bytes[pair_index]:
                 truncations += 1
                 trace.record(
                     FractionalTruncationEvent(
@@ -589,11 +591,10 @@ class MasterServer:
             if faults_on and fault_schedule.migration_dropped(
                 client_id, source.server_id, target_id, interval
             ):
-                if telemetry is not None:
-                    record_fault(
-                        telemetry, interval, "migration_drop",
-                        server_id=target_id, client_id=client_id,
-                    )
+                record_fault(
+                    telemetry, interval, "migration_drop",
+                    server_id=target_id, client_id=client_id,
+                )
                 continue
             if entry is None:  # ``target.add_bytes``, inline
                 entry = target.cache[client_id] = CachedModel(0.0, 0, version)
@@ -603,44 +604,40 @@ class MasterServer:
                 traffic_meter.record(
                     interval, source.server_id, target_id, delta
                 )
-            if registry is not None:
-                migrations += 1
-                if counter_bytes is None:
-                    counter_added = registry.counter("cache.bytes_added")
-                    counter_bytes = registry.counter("migration.bytes")
-                # One float inc per record, in record order (it matters).
-                counter_added.inc(delta)
-                counter_bytes.inc(delta)
-                if events_on:
-                    trace.record(
-                        MigrationEvent(
-                            interval=interval,
-                            client_id=client_id,
-                            source_server=source.server_id,
-                            target_server=target_id,
-                            nbytes=delta,
-                        )
+            migrations += 1
+            if counter_bytes is None:
+                counter_added = registry.counter("cache.bytes_added")
+                counter_bytes = registry.counter("migration.bytes")
+            # One float inc per record, in record order (it matters).
+            counter_added.inc(delta)
+            counter_bytes.inc(delta)
+            if events_on:
+                trace.record(
+                    MigrationEvent(
+                        interval=interval,
+                        client_id=client_id,
+                        source_server=source.server_id,
+                        target_server=target_id,
+                        nbytes=delta,
                     )
-        if registry is not None:
-            for name, labels, tally in (
-                ("resilience.dead_target_skips", None, dead_skips),
-                ("cache.lookups", {"outcome": "hit"}, hits),
-                ("cache.lookups", {"outcome": "miss"}, misses),
-                ("migration.count", None, migrations),
-                ("migration.fractional_truncations", None, truncations),
-            ):
-                if tally:
-                    registry.counter(name, labels).inc(tally)
+                )
+        for name, labels, tally in (
+            ("resilience.dead_target_skips", None, dead_skips),
+            ("cache.lookups", {"outcome": "hit"}, hits),
+            ("cache.lookups", {"outcome": "miss"}, misses),
+            ("migration.count", None, migrations),
+            ("migration.fractional_truncations", None, truncations),
+        ):
+            if tally:
+                registry.counter(name, labels).inc(tally)
 
     def expire_caches(self, interval: int) -> None:
         for server in self._servers.values():
-            evicted = server.expire(interval)
-            if self.telemetry is not None:
-                for client_id in evicted:
-                    self.telemetry.trace.record(
-                        CacheEvictionEvent(
-                            interval=interval,
-                            server_id=server.server_id,
-                            client_id=client_id,
-                        )
+            for client_id in server.expire(interval):
+                self.telemetry.trace.record(
+                    CacheEvictionEvent(
+                        interval=interval,
+                        server_id=server.server_id,
+                        client_id=client_id,
                     )
+                )

@@ -4,6 +4,8 @@ A :class:`Trajectory` is one user's position sequence sampled at a fixed
 interval; a :class:`TrajectoryDataset` bundles a region's trajectories with
 its bounding box and interval — the shape of the Geolife and KAIST datasets
 after the paper's preprocessing (fixed-rate resampling inside a rectangle).
+A :class:`ReplayTable` stacks the replayed tails of a dataset's traces,
+the positions the simulator's clients move through.
 """
 
 from __future__ import annotations
@@ -121,6 +123,73 @@ def replay_cut(n: int, replay_fraction: float) -> int:
     return max(1, min(n - 1, int(round(n * (1.0 - replay_fraction)))))
 
 
+#: A replayed tail needs this many points to make a client: one to
+#: associate at and one to move to.
+MIN_REPLAY_POINTS = 2
+
+
+@dataclass(frozen=True)
+class ReplayTable:
+    """The replayed tails of a dataset, stacked for the interval loop.
+
+    Every tail of at least :data:`MIN_REPLAY_POINTS` points becomes one
+    client, numbered in dataset order.  Client ``i`` replays rows
+    ``starts[i]`` to ``starts[i] + lengths[i] - 1`` of ``points``, one
+    per interval, and is active at interval ``step`` while
+    ``step < lengths[i]``.  Every read is a gather of the same float64
+    values the trajectories hold.
+    """
+
+    points: np.ndarray  # (n, 2) float64, the tails back to back
+    starts: np.ndarray  # (clients,) int64, first row of each tail
+    lengths: np.ndarray  # (clients,) int64, rows of each tail
+
+    @classmethod
+    def from_dataset(
+        cls, dataset: TrajectoryDataset, replay_fraction: float
+    ) -> ReplayTable:
+        """The tails ``points[replay_cut(n, replay_fraction):]``."""
+        if not 0.0 < replay_fraction < 1.0:
+            raise ValueError("replay_fraction must be in (0, 1)")
+        tails = []
+        for trajectory in dataset.trajectories:
+            cut = replay_cut(len(trajectory), replay_fraction)
+            tail = trajectory.points[cut:]
+            if len(tail) >= MIN_REPLAY_POINTS:
+                tails.append(tail)
+        lengths = np.array([len(tail) for tail in tails], dtype=np.int64)
+        starts = np.zeros_like(lengths)
+        np.cumsum(lengths[:-1], out=starts[1:])
+        points = np.concatenate(tails) if tails else np.empty((0, 2))
+        return cls(points, starts, lengths)
+
+    def __len__(self) -> int:
+        return len(self.lengths)
+
+    def active(self, step: int) -> np.ndarray:
+        """Ids of the clients still replaying at interval ``step``."""
+        return np.flatnonzero(self.lengths > step)
+
+    def positions(self, ids: np.ndarray, step: int) -> np.ndarray:
+        """``(k, 2)`` positions of clients ``ids`` at interval ``step``."""
+        if step < 0:
+            raise ValueError("no client has a position before interval 0")
+        return self.points[self.starts[ids] + step]
+
+    def windows(
+        self, ids: np.ndarray, step: int, history: int
+    ) -> np.ndarray | None:
+        """``(k, history, 2)``: each client's positions over the last
+        ``history`` intervals up to ``step``, oldest first; None while
+        fewer than ``history`` intervals have been replayed."""
+        if history < 1:
+            raise ValueError("history must be >= 1")
+        if step + 1 < history:
+            return None
+        rows = self.starts[ids] + (step + 1 - history)
+        return self.points[rows[:, None] + np.arange(history)]
+
+
 @dataclass(frozen=True)
 class TrajectoryDataset:
     """A named set of trajectories over one evaluation region."""
@@ -182,16 +251,6 @@ class TrajectoryDataset:
             self._time_part(test_fraction, "train"),
             self._time_part(test_fraction, "test"),
         )
-
-    def replay_split(self, test_fraction: float) -> "TrajectoryDataset":
-        """Just the replay (late) half of :meth:`split_time`.
-
-        Identical content to ``split_time(f)[1]`` — same per-trajectory
-        cut points, same dataset name — without materializing the
-        training half.  The sharded runner hands every shard pre-trained
-        predictors, so per-shard training slices are pure waste there.
-        """
-        return self._time_part(test_fraction, "test")
 
     def _time_part(
         self, test_fraction: float, part: str

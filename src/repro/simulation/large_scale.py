@@ -32,7 +32,7 @@ from repro.faults import FaultProfile, FaultSchedule, record_fault
 from repro.geo.hexgrid import HexGrid
 from repro.geo.wifi import EdgeServerRegistry
 from repro.mobility.predictor import PointPredictor
-from repro.mobility.trajectory import Trajectory, TrajectoryDataset
+from repro.mobility.trajectory import ReplayTable, TrajectoryDataset
 from repro.network.traffic import TrafficMeter
 from repro.overload import (
     QUEUE_WAIT_BUCKETS,
@@ -58,7 +58,7 @@ from repro.simulation.training import (  # noqa: F401
     train_default_models,
     train_default_predictor,
 )
-from repro.simulation.vectorized import ClientArrays, propose_associations
+from repro.simulation.vectorized import propose_associations
 from repro.telemetry import (
     AssociationEvent,
     ColdStartEvent,
@@ -112,7 +112,7 @@ class SimulationSettings:
 def _resolve_fault_schedule(
     settings: SimulationSettings,
     registry: EdgeServerRegistry,
-    usable: list[Trajectory],
+    table: ReplayTable,
 ) -> FaultSchedule | None:
     """Instantiate the run's fault schedule (None = fault layer off).
 
@@ -125,7 +125,7 @@ def _resolve_fault_schedule(
     if faults is None:
         return None
     if isinstance(faults, FaultProfile):
-        horizon = settings.max_steps or max(map(len, usable), default=1)
+        horizon = settings.max_steps or int(table.lengths.max(initial=1))
         faults = faults.build(registry.server_ids, settings.seed, horizon)
     return None if faults.is_noop else faults
 
@@ -139,8 +139,8 @@ class _Run:
     config: PerDNNConfig
     telemetry: Telemetry
     master: MasterServer
-    clients: list[MobileClient]
-    arrays: ClientArrays
+    table: ReplayTable
+    clients: list[MobileClient]  # client i replays tail i of ``table``
     fault_schedule: FaultSchedule | None
     admission: AdmissionController | None
     partitioners: list[DNNPartitioner]
@@ -151,10 +151,13 @@ class _Run:
     # Steady-state query-window counts recur across clients and steps;
     # one memo per run amortizes the serial integration.
     count_memo: dict = field(default_factory=dict)
-    # The current interval: its index, the clients still replaying, the
-    # ones running on-device and the ones that (re-)associated.
+    # The current interval: its index, the clients still replaying (and
+    # their ids), their positions (gathered by the association phase),
+    # the ones running on-device and the ones that (re-)associated.
     step: int = 0
     active: list[MobileClient] = field(default_factory=list)
+    active_ids: np.ndarray = field(init=False)
+    positions: np.ndarray = field(init=False)
     local_this_step: set[int] = field(default_factory=set)
     associated_this_step: set[int] = field(default_factory=set)
 
@@ -168,9 +171,12 @@ class _Run:
 
     def begin_interval(self, step: int) -> bool:
         """Move to interval ``step``; False once every client finished."""
-        self.active = [c for c in self.clients if not c.finished]
-        if not self.active:
+        ids = self.table.active(step)
+        if not ids.size:
             return False
+        clients = self.clients
+        self.active_ids = ids
+        self.active = [clients[i] for i in ids.tolist()]
         self.step = step
         self.local_this_step = set()
         self.associated_this_step = set()
@@ -201,16 +207,15 @@ def _set_up(
         dataset, pool[0], settings, config, rng,
         predictor, contention_estimator,
     )
-    replay = dataset.replay_split(settings.replay_fraction).trajectories
-    usable = [t for t in replay if len(t) >= 2]
+    table = ReplayTable.from_dataset(dataset, settings.replay_fraction)
     if len(pool) == 1:
         master_partitioner = pool[0]
     else:
         master_partitioner = {
             client_id: pool[client_id % len(pool)]
-            for client_id in range(len(usable))
+            for client_id in range(len(table))
         }
-    fault_schedule = _resolve_fault_schedule(settings, registry, usable)
+    fault_schedule = _resolve_fault_schedule(settings, registry, table)
     master = MasterServer(
         registry=registry,
         partitioner=master_partitioner,
@@ -225,10 +230,7 @@ def _set_up(
         telemetry=telemetry,
         fault_schedule=fault_schedule,
     )
-    clients = [
-        MobileClient(i, trajectory, config.prediction_history)
-        for i, trajectory in enumerate(usable)
-    ]
+    clients = [MobileClient(i) for i in range(len(table))]
     metrics.gauge("sim.num_servers").set(registry.num_servers)
     metrics.gauge("sim.num_clients").set(len(clients))
     return _Run(
@@ -236,8 +238,8 @@ def _set_up(
         config=config,
         telemetry=telemetry,
         master=master,
+        table=table,
         clients=clients,
-        arrays=ClientArrays.from_clients(clients),
         fault_schedule=fault_schedule,
         admission=(
             None if settings.overload is None
@@ -287,10 +289,11 @@ def _fault_phase(run: _Run) -> None:
 def _association_phase(run: _Run) -> None:
     """Phase 1: movement and (re-)association.
 
-    Advancing every client first (no client observes another's move)
-    lets one struct-of-arrays pass propose every association; the loop
-    applies them in client order, filling ``run.associated_this_step``
-    and, with clients left without a live server, ``run.local_this_step``.
+    Every active client's position is gathered from the replay table
+    first (no client observes another's move), so one array pass
+    proposes every association; the loop applies them in client order,
+    filling ``run.associated_this_step`` and, with clients left without
+    a live server, ``run.local_this_step``.
     It visits only the clients with something to apply: a proposal that
     differs from their server, or a proposed server that is down.
     """
@@ -303,14 +306,17 @@ def _association_phase(run: _Run) -> None:
     routing, baseline = run.routing, run.baseline
     local_this_step = run.local_this_step
     associated_this_step = run.associated_this_step
-    arrays = run.arrays
-    positions = [client.advance() for client in active]
-    ids = arrays.refresh(active, positions)
-    current_servers = arrays.current_server[ids]
+    positions = run.positions = run.table.positions(run.active_ids, step)
+    current_servers = np.fromiter(
+        (
+            -1 if client.current_server is None else client.current_server
+            for client in active
+        ),
+        dtype=np.int64,
+        count=len(active),
+    )
     proposals = propose_associations(
-        registry,
-        arrays.positions[ids],
-        current_servers,
+        registry, positions, current_servers,
         run.config.handover_hysteresis_m,
     )
     # Only clients whose proposal differs from their server, or whose
@@ -331,8 +337,6 @@ def _association_phase(run: _Run) -> None:
     steered_count = server_changes = 0
     for index in np.flatnonzero(visit).tolist():
         client = active[index]
-        position = positions[index]
-        assert position is not None
         proposed = int(proposals[index])
         server_id = None if proposed < 0 else proposed
         assert server_id is not None, "registry covers every trace point"
@@ -353,7 +357,8 @@ def _association_phase(run: _Run) -> None:
                 # (graceful degradation, never an error).
                 steered = (
                     master.redirect_target(
-                        position, step, overload_cfg.redirect_radius_m,
+                        positions[index].tolist(), step,
+                        overload_cfg.redirect_radius_m,
                         exclude=(server_id,),
                     )
                     if overload_on else None
@@ -430,6 +435,7 @@ def _contention_phase(run: _Run) -> None:
 
 def _overload_gate(
     client: MobileClient,
+    position: list[float],
     server: EdgeServer,
     master: MasterServer,
     admission: AdmissionController,
@@ -438,7 +444,8 @@ def _overload_gate(
 ) -> tuple[str, EdgeServer, float | None]:
     """Breaker gate, admission control and shedding policy for one window.
 
-    Returns the window's overload outcome (``admitted``, ``degraded``,
+    ``position`` is the client's position, as Python floats.  Returns
+    the window's overload outcome (``admitted``, ``degraded``,
     ``redirected`` or ``shed``), the server that serves it (a redirect
     target takes over from the saturated one) and its admission-queue
     wait (``None`` unless some server admitted it).
@@ -478,7 +485,7 @@ def _overload_gate(
         )
     if overload_cfg.policy is SheddingPolicy.REDIRECT:
         target_id = master.redirect_target(
-            client.position, step,
+            position, step,
             overload_cfg.redirect_radius_m,
             exclude=(server.server_id,),
             admission=admission,
@@ -560,6 +567,10 @@ def _query_windows(run: _Run) -> None:
     server_of = master.server
     registry = master.registry
     grid = registry.grid
+    # Python-float positions for the scalar redirect and routing helpers.
+    positions = (
+        run.positions.tolist() if admission is not None or routing else None
+    )
 
     batch = WindowBatch()
     add_window = batch.rows.append
@@ -609,7 +620,8 @@ def _query_windows(run: _Run) -> None:
             server = server_of(server_id)
             if admission is not None:
                 outcome, server, queue_wait = _overload_gate(
-                    client, server, master, admission, telemetry, step
+                    client, positions[index], server, master, admission,
+                    telemetry, step,
                 )
                 outcome_windows[outcome] = outcome_windows.get(outcome, 0) + 1
                 if queue_wait is not None:
@@ -686,15 +698,13 @@ def _query_windows(run: _Run) -> None:
             overhead = 0.0
             if routing:
                 hops = grid.hop_distance(
-                    grid.cell_of(client.position),
+                    grid.cell_of(positions[index]),
                     registry.cell_of_server(server.server_id),
                 )
                 tensors = routed_tensors(plan.costs, plan.plan)
                 overhead = routing_overhead_seconds(config, hops, tensors)
                 if hops > 0:
-                    routed_rows.append(
-                        (index, client, server.server_id, tensors)
-                    )
+                    routed_rows.append((index, server.server_id, tensors))
             uploading = not optimal
             uplink_bps = uplink_default
             if faults_on and uploading:
@@ -744,11 +754,11 @@ def _query_windows(run: _Run) -> None:
             )
         elif entry is not None:
             entry.refresh(step, ttl)  # ``server.refresh_ttl``, inline
-    for index, client, server_id, tensors in routed_rows:
+    for index, server_id, tensors in routed_rows:
         count = int(counts[index])
         if not count:
             continue
-        access_server = registry.server_at(client.position)
+        access_server = registry.server_at(positions[index])
         if access_server is not None and access_server != server_id:
             if tensors.uplink_bytes > 0:
                 master.traffic_meter.record(
@@ -861,12 +871,17 @@ def _inc_grouped(
 
 def _migration_phase(run: _Run) -> None:
     """Phase 4: close the interval — publish the admission gauges, migrate
-    proactively (PerDNN: one batched prediction for every client,
-    transfers replayed in client order), then evict expired caches."""
+    proactively (PerDNN: once every client has a full mobility window,
+    one batched prediction from the replay table's windows, transfers
+    replayed in client order), then evict expired caches."""
     if run.admission is not None:
         run.admission.export_gauges()
     if run.settings.policy is MigrationPolicy.PERDNN:
-        run.master.proactive_migrate_batch(run.active, run.step)
+        windows = run.table.windows(
+            run.active_ids, run.step, run.config.prediction_history
+        )
+        if windows is not None:
+            run.master.proactive_migrate_batch(run.active, windows, run.step)
     run.master.expire_caches(run.step)
 
 

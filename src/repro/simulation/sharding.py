@@ -44,7 +44,11 @@ from repro.estimation.estimator import ContentionEstimator
 from repro.faults import FaultSchedule
 from repro.geo.hexgrid import HexGrid
 from repro.mobility.predictor import PointPredictor
-from repro.mobility.trajectory import TrajectoryDataset, replay_cut
+from repro.mobility.trajectory import (
+    MIN_REPLAY_POINTS,
+    TrajectoryDataset,
+    replay_cut,
+)
 from repro.network.traffic import TrafficFold
 from repro.partitioning.partitioner import DNNPartitioner
 from repro.simulation.checkpoint import (
@@ -90,7 +94,7 @@ class ShardPlan:
     index: int
     trajectory_indices: tuple[int, ...]
     cells: tuple[tuple[int, int], ...]  # home cells, sorted axial (q, r)
-    num_usable: int  # trajectories with >= 2 replay points
+    num_usable: int  # trajectories with >= MIN_REPLAY_POINTS replay points
 
 
 def shard_seed(seed: int, shard_index: int) -> int:
@@ -114,9 +118,13 @@ def plan_shards(
     """Spatially decompose the client population into shards.
 
     Each trajectory's *home cell* is the hex cell of its first replayed
-    point (where the client enters the simulation).  Home cells are
-    visited in sorted axial order and packed greedily until a shard holds
-    at least ``shard_size`` usable clients; a cell's clients always land
+    point (where the client enters the simulation), or of its only point
+    when it replays none; a trajectory with no points has no home cell
+    and joins no shard.  A trajectory makes a client when its tail is
+    usable by the :class:`~repro.mobility.trajectory.ReplayTable` rule
+    (at least ``MIN_REPLAY_POINTS`` points).  Home cells are visited in
+    sorted axial order and packed greedily until a shard holds at least
+    ``shard_size`` usable clients; a cell's clients always land
     in the same shard.  The plan depends only on the dataset, the cell
     radius, the replay split, and ``shard_size`` — never on worker count.
     """
@@ -130,14 +138,18 @@ def plan_shards(
     # trajectory's cut instead of copying every replay half.
     firsts = np.zeros((n, 2), dtype=float)
     usable = np.zeros(n, dtype=bool)
+    homed = np.zeros(n, dtype=bool)
     for i, trajectory in enumerate(dataset.trajectories):
         points = len(trajectory)
+        if not points:
+            continue
         cut = replay_cut(points, settings.replay_fraction)
-        usable[i] = points - cut >= 2
-        firsts[i] = trajectory.points[cut if points - cut > 0 else 0]
+        usable[i] = points - cut >= MIN_REPLAY_POINTS
+        homed[i] = True
+        firsts[i] = trajectory.points[min(cut, points - 1)]
     cells = grid.cells_of(firsts)
     groups: dict[tuple[int, int], list[int]] = {}
-    for i in range(n):
+    for i in np.flatnonzero(homed).tolist():
         groups.setdefault((int(cells[i, 0]), int(cells[i, 1])), []).append(i)
     shards: list[ShardPlan] = []
     pending: list[int] = []

@@ -1,16 +1,12 @@
-"""Struct-of-arrays client state and vectorized interval passes.
+"""The vectorized association pass.
 
 Deciding every client's association one call at a time is a chain of
 per-client Python calls (``cell_of`` -> dict probe -> hysteresis
 comparison).  At city scale that chain *is* the runtime, so the
-large-scale simulator keeps client state mirrored in flat numpy arrays
-and turns the movement/association phase into a handful of array
-passes:
-
-* positions of every active client in one ``(n, 2)`` float64 buffer;
-* current association in one int64 array (-1 = unassociated);
-* one vectorized ``cells_of`` + ``servers_for_cells`` pass proposing the
-  next association for every client at once.
+large-scale simulator gathers every active client's position from its
+replay table into one ``(n, 2)`` float64 array, their current servers
+into one int64 array (-1 = unassociated), and proposes every next
+association in one vectorized ``cells_of`` + ``servers_for_cells`` pass.
 
 Bit-exactness contract: every array pass reproduces the scalar helpers'
 arithmetic operation for operation (and falls back to the scalar helper
@@ -24,54 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.association import decide_association
-from repro.core.client import MobileClient
 from repro.geo.wifi import EdgeServerRegistry
-
-
-class ClientArrays:
-    """Flat per-client state mirror for the vectorized interval passes.
-
-    Rows are indexed by ``client_id`` (which equals the client's index in
-    the driver's client list).  ``refresh`` reloads the interval's active
-    rows from the client objects at the top of each interval — client
-    objects stay the source of truth (faults and overload mutate them
-    mid-interval), the arrays are the vector view the batched passes
-    consume.  ``set_association`` is for callers that prefer to push
-    updates eagerly instead of rescanning.
-    """
-
-    def __init__(self, num_clients: int) -> None:
-        self.positions = np.zeros((num_clients, 2), dtype=float)
-        self.current_server = np.full(num_clients, -1, dtype=np.int64)
-
-    @classmethod
-    def from_clients(cls, clients: list[MobileClient]) -> "ClientArrays":
-        arrays = cls(len(clients))
-        for client in clients:
-            if client.current_server is not None:
-                arrays.current_server[client.client_id] = client.current_server
-        return arrays
-
-    def refresh(
-        self, active: list[MobileClient], positions: list[np.ndarray]
-    ) -> np.ndarray:
-        """Load this interval's positions/associations; returns the active
-        row indices (client ids) as an int array."""
-        ids = np.fromiter(
-            (client.client_id for client in active),
-            dtype=np.int64,
-            count=len(active),
-        )
-        if len(active):
-            self.positions[ids] = positions
-            self.current_server[ids] = [
-                -1 if client.current_server is None else client.current_server
-                for client in active
-            ]
-        return ids
-
-    def set_association(self, client_id: int, server_id: int | None) -> None:
-        self.current_server[client_id] = -1 if server_id is None else server_id
 
 
 def propose_associations(

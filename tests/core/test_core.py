@@ -9,10 +9,14 @@ from repro.core.client import MobileClient
 from repro.core.config import PerDNNConfig
 from repro.core.edge_server import EdgeServer
 from repro.core.master import MasterServer, MigrationPolicy
-from repro.geo.geometry import euclidean
+from repro.geo.geometry import BoundingBox, euclidean
 from repro.geo.hexgrid import HexCell, HexGrid
 from repro.geo.wifi import EdgeServerRegistry
-from repro.mobility.trajectory import Trajectory
+from repro.mobility.trajectory import (
+    ReplayTable,
+    Trajectory,
+    TrajectoryDataset,
+)
 from repro.telemetry import Telemetry
 
 
@@ -126,44 +130,50 @@ class TestEdgeServer:
 
 
 class TestMobileClient:
+    """A client's movement, read from its run's replay table."""
+
     @pytest.fixture
-    def client(self):
-        points = np.stack([np.arange(6) * 10.0, np.zeros(6)], axis=1)
-        return MobileClient(0, Trajectory(0, 20.0, points), history=3)
+    def table(self):
+        # 8 points with a 0.8 replay fraction: the tail is the last 6.
+        points = np.stack([np.arange(-2, 6) * 10.0, np.zeros(8)], axis=1)
+        dataset = TrajectoryDataset(
+            name="line",
+            interval_seconds=20.0,
+            bbox=BoundingBox(-20.0, -1.0, 50.0, 1.0),
+            trajectories=(Trajectory(0, 20.0, points),),
+        )
+        return ReplayTable.from_dataset(dataset, 0.8)
 
-    def test_advance_walks_trajectory(self, client):
-        assert client.advance() == (0.0, 0.0)
-        assert client.advance() == (10.0, 0.0)
-        assert client.position == (10.0, 0.0)
+    def test_advance_walks_trajectory(self, table):
+        ids = table.active(0)
+        assert ids.tolist() == [0]
+        assert table.positions(ids, 0).tolist() == [[0.0, 0.0]]
+        assert table.positions(ids, 1).tolist() == [[10.0, 0.0]]
 
-    def test_finishes_at_end(self, client):
-        for _ in range(6):
-            assert client.advance() is not None
-        assert client.finished
-        assert client.advance() is None
+    def test_finishes_at_end(self, table):
+        for step in range(6):
+            assert table.active(step).tolist() == [0]
+        assert table.active(6).size == 0
 
-    def test_recent_window_fills_up(self, client):
-        assert client.recent_window() is None
-        client.advance()
-        client.advance()
-        assert client.recent_window() is None
-        client.advance()
-        window = client.recent_window()
-        assert window.shape == (3, 2)
-        assert np.allclose(window[:, 0], [0.0, 10.0, 20.0])
+    def test_recent_window_fills_up(self, table):
+        ids = table.active(0)
+        assert table.windows(ids, 0, history=3) is None
+        assert table.windows(ids, 1, history=3) is None
+        window = table.windows(ids, 2, history=3)
+        assert window.shape == (1, 3, 2)
+        assert np.allclose(window[0, :, 0], [0.0, 10.0, 20.0])
 
-    def test_window_slides(self, client):
-        for _ in range(4):
-            client.advance()
-        assert np.allclose(client.recent_window()[:, 0], [10.0, 20.0, 30.0])
+    def test_window_slides(self, table):
+        window = table.windows(table.active(3), 3, history=3)
+        assert np.allclose(window[0, :, 0], [10.0, 20.0, 30.0])
 
-    def test_position_before_advance_raises(self, client):
-        with pytest.raises(RuntimeError):
-            _ = client.position
-
-    def test_history_validation(self):
+    def test_position_before_advance_raises(self, table):
         with pytest.raises(ValueError):
-            MobileClient(0, Trajectory(0, 1.0, np.zeros((2, 2))), history=0)
+            table.positions(table.active(0), -1)
+
+    def test_history_validation(self, table):
+        with pytest.raises(ValueError):
+            table.windows(table.active(0), 0, history=0)
 
 
 class FixedPredictor:
@@ -212,20 +222,20 @@ class TestMasterServer:
         return MasterServer(**defaults)
 
     def migrate(self, master, client, interval):
-        """One proactive pass for ``client``; the transfers it traced."""
+        """One proactive pass for ``client`` over the mobility window
+        :meth:`make_client` built; the transfers it traced."""
         trace = master.telemetry.trace
         before = len(trace.of_kind("migration"))
-        master.proactive_migrate_batch([client], interval)
+        master.proactive_migrate_batch([client], self.windows, interval)
         return trace.of_kind("migration")[before:]
 
     def make_client(self, grid, cells):
-        points = np.array(
-            [grid.center(cells[0])] * 2 + [grid.center(cells[1])], dtype=float
+        # A full 3-position window: two intervals in cell 0, one in cell 1.
+        self.windows = np.array(
+            [[grid.center(cells[0])] * 2 + [grid.center(cells[1])]],
+            dtype=float,
         )
-        client = MobileClient(0, Trajectory(0, 20.0, points), history=3)
-        for _ in range(3):
-            client.advance()
-        return client
+        return MobileClient(0)
 
     def test_perdnn_requires_predictor(self, world, tiny_partitioner, rng):
         grid, registry, config, _ = world

@@ -95,11 +95,8 @@ class TestModelVersioning:
 
     def test_client_update_model(self):
         from repro.core.client import MobileClient
-        from repro.mobility.trajectory import Trajectory
 
-        client = MobileClient(
-            0, Trajectory(0, 20.0, np.zeros((3, 2))), history=2
-        )
+        client = MobileClient(0)
         assert client.model_version == 0
         assert client.update_model() == 1
         assert client.model_version == 1

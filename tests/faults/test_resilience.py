@@ -144,9 +144,7 @@ class TestUploadBackoff:
         assert result.telemetry.registry.value("resilience.retries") == 4
 
     def test_successful_upload_resets_backoff(self):
-        grid = HexGrid(50.0)
-        points = np.tile(grid.center(HexCell(0, 0)), (10, 1))
-        client = MobileClient(0, Trajectory(0, 30.0, points), history=4)
+        client = MobileClient(0)
         assert client.upload_allowed(0)
         assert client.record_upload_drop(0) == 1
         assert client.record_upload_drop(1) == 2

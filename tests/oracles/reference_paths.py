@@ -32,7 +32,7 @@ the duration of a ``with`` block.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -280,8 +280,7 @@ def plan_for(
     Counts ``master.plan.calls`` as the master's scoped planning timer
     did (its wall-clock side never entered the bytes).
     """
-    if master.telemetry is not None:
-        master.telemetry.registry.counter("master.plan.calls").inc()
+    master.telemetry.registry.counter("master.plan.calls").inc()
     return master.partitioner_for(client_id).partition(
         master.estimate_slowdown(server)
     )
@@ -293,7 +292,8 @@ def per_client_query_windows(run: large_scale._Run) -> None:
     With ``run.admission`` the breaker, admission control and shedding
     policy decide per client whether (and where, and under which plan)
     its window is served, and ``run.routing`` meters each client's relayed
-    tensors over the backhaul.  ``large_scale._query_windows`` batches
+    tensors over the backhaul.  A client's position is read from
+    ``run.table`` by scalar index.  ``large_scale._query_windows`` batches
     this loop; the equivalence suites pin the two byte for byte.
     """
     active, master, metrics = run.active, run.master, run.metrics
@@ -308,6 +308,11 @@ def per_client_query_windows(run: large_scale._Run) -> None:
     registry = master.registry
     grid = registry.grid
     meter = master.traffic_meter
+    table = run.table
+
+    def position_of(client: MobileClient) -> list[float]:
+        return table.points[table.starts[client.client_id] + step].tolist()
+
     for client in active:
         if faults_on:
             metrics.counter("resilience.client_intervals").inc()
@@ -389,7 +394,7 @@ def per_client_query_windows(run: large_scale._Run) -> None:
                 target_id = None
                 if overload_cfg.policy is SheddingPolicy.REDIRECT:
                     target_id = master.redirect_target(
-                        client.position, step,
+                        position_of(client), step,
                         overload_cfg.redirect_radius_m,
                         exclude=(server.server_id,),
                         admission=admission,
@@ -474,7 +479,7 @@ def per_client_query_windows(run: large_scale._Run) -> None:
         hops = 0
         tensors = None
         if routing:
-            access_cell = grid.cell_of(client.position)
+            access_cell = grid.cell_of(position_of(client))
             home_cell = registry.cell_of_server(server.server_id)
             hops = grid.hop_distance(access_cell, home_cell)
             tensors = routed_tensors(plan.costs, plan.plan)
@@ -515,7 +520,7 @@ def per_client_query_windows(run: large_scale._Run) -> None:
             count_memo=count_memo,
         )
         if routing and hops > 0 and outcome.count and tensors is not None:
-            access_server = registry.server_at(client.position)
+            access_server = registry.server_at(position_of(client))
             if access_server is not None and access_server != server.server_id:
                 if tensors.uplink_bytes > 0:
                     meter.record(
@@ -575,14 +580,14 @@ def byte_budget(
 
 
 def proactive_migrate(
-    self: MasterServer, client: MobileClient, interval: int
+    self: MasterServer, client: MobileClient, window: np.ndarray, interval: int
 ) -> None:
-    """Predict the client's next location and push layers ahead (§3.B.2)."""
+    """Predict the client's next location from its ``(history, 2)``
+    mobility window and push layers ahead (§3.B.2)."""
     if self.policy is not MigrationPolicy.PERDNN:
         return
     assert self.predictor is not None
-    window = client.recent_window()
-    if window is None or client.current_server is None:
+    if client.current_server is None:
         return
     if not self.server_available(client.current_server, interval):
         return  # the source is dark; nothing can be pushed from it
@@ -593,28 +598,30 @@ def proactive_migrate(
         # Backhaul outage: every proactive transfer is blocked this
         # interval.  Record it once per client — the master retries
         # naturally at the next interval.
-        if self.telemetry is not None:
-            record_fault(
-                self.telemetry, interval, "backhaul_blocked",
-                server_id=client.current_server,
-                client_id=client.client_id,
-            )
+        record_fault(
+            self.telemetry, interval, "backhaul_blocked",
+            server_id=client.current_server,
+            client_id=client.client_id,
+        )
         return
     predicted = self.predictor.predict_point(window)
     migrate_to_predicted(self, client, interval, predicted)
 
 
 def proactive_migrate_batch(
-    self: MasterServer, clients: Iterable[MobileClient], interval: int
+    self: MasterServer,
+    clients: Sequence[MobileClient],
+    windows: np.ndarray,
+    interval: int,
 ) -> None:
     """Batched predictions, then the per-client transfer tail."""
     if self.policy is not MigrationPolicy.PERDNN:
         return
     assert self.predictor is not None
     eligible: list[tuple[MobileClient, np.ndarray]] = []
-    for client in clients:
-        window = client.recent_window()
-        if window is None or client.current_server is None:
+    for index, client in enumerate(clients):
+        window = windows[index]
+        if client.current_server is None:
             continue
         if not self.server_available(client.current_server, interval):
             continue
@@ -625,16 +632,16 @@ def proactive_migrate_batch(
         self.fault_schedule is not None
         and not self.fault_schedule.backhaul_available(interval)
     ):
-        if self.telemetry is not None:
-            for client, _ in eligible:
-                record_fault(
-                    self.telemetry, interval, "backhaul_blocked",
-                    server_id=client.current_server,
-                    client_id=client.client_id,
-                )
+        for client, _ in eligible:
+            record_fault(
+                self.telemetry, interval, "backhaul_blocked",
+                server_id=client.current_server,
+                client_id=client.client_id,
+            )
         return
-    windows = np.stack([window for _, window in eligible])
-    predictions = self.predictor.predict_points(windows)
+    predictions = self.predictor.predict_points(
+        np.stack([window for _, window in eligible])
+    )
     points = [
         (float(point[0]), float(point[1])) for point in predictions
     ]
@@ -646,11 +653,15 @@ def proactive_migrate_batch(
 
 
 def scalar_migrate_batch(
-    self: MasterServer, clients: Iterable[MobileClient], interval: int
+    self: MasterServer,
+    clients: Sequence[MobileClient],
+    windows: np.ndarray,
+    interval: int,
 ) -> None:
-    """The interval loop's scalar migration phase: one call per client."""
-    for client in clients:
-        proactive_migrate(self, client, interval)
+    """The interval loop's scalar migration phase: one call per client,
+    each with its own window."""
+    for index, client in enumerate(clients):
+        proactive_migrate(self, client, windows[index], interval)
 
 
 def migrate_to_predicted(
@@ -689,10 +700,9 @@ def migrate_to_predicted(
         if not self.server_available(target_id, interval):
             # Dead servers get no future plans — migrating to them
             # would burn backhaul bytes into the void.
-            if self.telemetry is not None:
-                self.telemetry.registry.counter(
-                    "resilience.dead_target_skips"
-                ).inc()
+            self.telemetry.registry.counter(
+                "resilience.dead_target_skips"
+            ).inc()
             continue
         live_targets.append(self.server(target_id))
     slowdowns = self.estimate_slowdowns(live_targets)
@@ -710,10 +720,7 @@ def migrate_to_predicted(
             # this interval's transfer budget (fractional migration
             # under duress, same mechanism as crowded servers).
             needed = min(needed, backhaul_factor * future_plan.server_bytes)
-        if (
-            self.telemetry is not None
-            and needed < future_plan.server_bytes
-        ):
+        if needed < future_plan.server_bytes:
             self.telemetry.trace.record(
                 FractionalTruncationEvent(
                     interval=interval,
@@ -753,11 +760,10 @@ def migrate_to_predicted(
             # The transfer fails in flight: no bytes land, no traffic
             # is billed.  The master retries at the next interval's
             # proactive pass (the target still lacks the bytes).
-            if self.telemetry is not None:
-                record_fault(
-                    self.telemetry, interval, "migration_drop",
-                    server_id=target_id, client_id=client.client_id,
-                )
+            record_fault(
+                self.telemetry, interval, "migration_drop",
+                server_id=target_id, client_id=client.client_id,
+            )
             continue
         target.add_bytes(
             client.client_id, delta, interval, self.config.ttl_intervals,
@@ -767,18 +773,17 @@ def migrate_to_predicted(
             self.traffic_meter.record(
                 interval, source.server_id, target_id, delta
             )
-        if self.telemetry is not None:
-            self.telemetry.registry.counter("migration.count").inc()
-            self.telemetry.registry.counter("migration.bytes").inc(delta)
-            self.telemetry.trace.record(
-                MigrationEvent(
-                    interval=interval,
-                    client_id=client.client_id,
-                    source_server=source.server_id,
-                    target_server=target_id,
-                    nbytes=delta,
-                )
+        self.telemetry.registry.counter("migration.count").inc()
+        self.telemetry.registry.counter("migration.bytes").inc(delta)
+        self.telemetry.trace.record(
+            MigrationEvent(
+                interval=interval,
+                client_id=client.client_id,
+                source_server=source.server_id,
+                target_server=target_id,
+                nbytes=delta,
             )
+        )
 
 
 # ----------------------------------------------------------------------

@@ -12,7 +12,7 @@ import pytest
 from repro.core.master import MigrationPolicy
 from repro.geo.geometry import BoundingBox
 from repro.mobility.trajectory import Trajectory, TrajectoryDataset
-from repro.simulation.large_scale import SimulationSettings
+from repro.simulation.large_scale import SimulationSettings, run_large_scale
 from repro.simulation.sharding import plan_shards, run_large_scale_sharded
 from repro.core.config import PerDNNConfig
 from repro.telemetry import MetricsRegistry, merge_registries
@@ -95,6 +95,34 @@ class TestDegenerateDatasets:
         assert len(shards) == 1
         assert shards[0].num_usable == 0
         assert sorted(shards[0].trajectory_indices) == list(range(9))
+
+    def test_zero_point_trajectory_joins_no_shard(self, tiny_partitioner):
+        # A trajectory with no points has no home cell: it joins no shard
+        # and leaves the sharded bytes as they are without it.
+        base = kaist_like(
+            np.random.default_rng(5), num_users=4, duration_steps=40
+        )
+        empty = Trajectory(99, base.interval_seconds, np.empty((0, 2)))
+        padded = TrajectoryDataset(
+            name=base.name,
+            interval_seconds=base.interval_seconds,
+            bbox=base.bbox,
+            trajectories=base.trajectories + (empty,),
+        )
+        settings = make_settings()
+        shards = plan_shards(padded, PerDNNConfig(), settings, shard_size=2)
+        assert sorted(
+            i for shard in shards for i in shard.trajectory_indices
+        ) == [0, 1, 2, 3]
+        unsharded = run_large_scale(padded, tiny_partitioner, settings)
+        with_empty = run_large_scale_sharded(
+            padded, tiny_partitioner, settings, shard_size=2
+        )
+        without = run_large_scale_sharded(
+            base, tiny_partitioner, settings, shard_size=2
+        )
+        assert with_empty.telemetry.dumps() == without.telemetry.dumps()
+        assert with_empty.num_clients == unsharded.num_clients == 4
 
     def test_one_cell_larger_than_shard_size(self, tiny_partitioner):
         # Cells are atomic: a single home cell holding more clients than
