@@ -1,7 +1,7 @@
 """CI smoke for the 100k-scale sharded path, at the quick shape.
 
 Runs ``repro bench``'s ``large_scale_sharded_100k`` row at its quick
-shape (read from :data:`repro.bench.SCALE_SHAPES`) through
+spec (read from :data:`repro.bench.SCALE_SPECS`) through
 :func:`repro.bench.measure_scale`, once per requested worker count, and
 asserts the guarantees the full-scale run depends on:
 
@@ -28,27 +28,20 @@ Usage (what CI runs)::
 
 import argparse
 import os
+import resource
 import sys
-
-import numpy as np
+from dataclasses import replace
 
 REPO_SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 sys.path.insert(0, REPO_SRC)
 
 from repro.bench import (  # noqa: E402
-    SCALE_SHAPES,
-    _build_partitioner,
+    SCALE_SPECS,
+    in_forked_child,
     measure_scale,
 )
-from repro.core.config import PerDNNConfig  # noqa: E402
-from repro.core.master import MigrationPolicy  # noqa: E402
-from repro.simulation.large_scale import SimulationSettings  # noqa: E402
-from repro.simulation.sharding import run_large_scale_sharded  # noqa: E402
-from repro.simulation.training import train_default_models  # noqa: E402
-from repro.trajectories.synthetic import kaist_like  # noqa: E402
 
 CASE = "large_scale_sharded_100k"
-USERS, DATASET_STEPS, MAX_STEPS, SHARD_SIZE = SCALE_SHAPES[CASE].quick
 
 #: Populations for the spill-vs-in-memory driver-RSS comparison.  The
 #: first (the quick-shape population) estimates each mode's
@@ -59,82 +52,36 @@ USERS, DATASET_STEPS, MAX_STEPS, SHARD_SIZE = SCALE_SHAPES[CASE].quick
 #: merging, while the spill path streams each completed shard through
 #: the scratch store and holds at most one in flight.
 SPILL_USERS = (2_000, 15_000, 30_000)
-SPILL_SHARD_SIZE = 2048
-SPILL_MAX_STEPS = 2
 
-
-def _measure_driver_rss_mb(run) -> float | None:
-    """``run()``'s RSS growth in the driver process alone, in MB.
-
-    Forks a child, snapshots its ``RUSAGE_SELF`` high-water mark before
-    and after the run, and reports the delta — shard workers are
-    separate processes and deliberately excluded, so the figure is what
-    the *driver* (plan, dispatch, spill, streaming merge) needed.
-    Returns None where fork is unavailable.
-    """
-    import multiprocessing
-
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return None
-    context = multiprocessing.get_context("fork")
-    receiver, sender = context.Pipe(duplex=False)
-
-    def child(conn) -> None:
-        import resource
-
-        base_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-        run()
-        peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-        conn.send(max(0, peak_kb - base_kb) / 1024.0)
-        conn.close()
-
-    process = context.Process(target=child, args=(sender,))
-    process.start()
-    sender.close()
-    try:
-        grown = receiver.recv()
-    finally:
-        process.join()
-        receiver.close()
-    return grown
+#: The quick 100k spec, in larger shards, two workers and a two-step
+#: horizon, recording events.
+SPILL_SPEC = replace(
+    SCALE_SPECS[CASE][0], shard_size=2048, workers=2, steps=2,
+    record_events=True,
+)
 
 
 def check_spill_rss(seed: int, failures: list[str]) -> None:
     """Assert dataset spill keeps the driver's RSS flat-ish and small."""
-    config = PerDNNConfig(migration_radius_m=100.0)
-    settings = SimulationSettings(
-        policy=MigrationPolicy.PERDNN, max_steps=SPILL_MAX_STEPS, seed=seed
-    )
-    partitioner = _build_partitioner("mobilenet")
     growth: dict[tuple[int, bool], float] = {}
     for users in SPILL_USERS:
-        rng = np.random.default_rng(seed)
-        dataset = kaist_like(
-            rng, num_users=users, duration_steps=DATASET_STEPS
-        )
-        predictor, estimator = train_default_models(
-            dataset, partitioner, settings, config,
-            np.random.default_rng(seed),
-        )
+        spec = replace(SPILL_SPEC, users=users, seed=seed)
+        dataset = spec.trajectories()
+        predictor, estimator = spec.train_models(dataset)
         for spill in (False, True):
+            run = replace(spec, spill_datasets=spill)
 
-            def run(spill: bool = spill) -> None:
-                run_large_scale_sharded(
-                    dataset,
-                    partitioner,
-                    settings,
-                    config=config,
-                    shard_size=SPILL_SHARD_SIZE,
-                    workers=2,
-                    predictor=predictor,
-                    contention_estimator=estimator,
-                    spill_datasets=spill,
-                )
+            def driver_growth_mb() -> float:
+                # The forked child's own high-water mark before and after
+                # the run: shard workers are separate processes, so this
+                # is what the driver (plan, dispatch, spill, streaming
+                # merge) needed.
+                base_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+                run.run(predictor, estimator, dataset=dataset)
+                peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+                return max(0, peak_kb - base_kb) / 1024.0
 
-            grown = _measure_driver_rss_mb(run)
-            if grown is None:
-                print("driver-RSS check skipped: no fork start method")
-                return
+            grown = in_forked_child(driver_growth_mb)
             growth[(users, spill)] = grown
             label = "spill" if spill else "in-memory"
             print(

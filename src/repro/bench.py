@@ -4,7 +4,7 @@ Times the code the large-scale simulator leans on hardest — random-forest
 fit/predict (single-row and batched), partition planning, and a small
 end-to-end :func:`~repro.simulation.large_scale.run_large_scale` run — on
 deterministic seeded inputs, reporting wall-clock medians over repeats,
-plus the city-scale rows of :data:`SCALE_SHAPES` through the sharded
+plus the city-scale rows of :data:`SCALE_SPECS` through the sharded
 driver, each timed by :func:`measure_scale`.
 
 ``repro bench [--quick] [--out BENCH_perf.json]`` is the CLI entry point;
@@ -22,11 +22,12 @@ import os
 import statistics
 import tempfile
 import time
-from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import replace
 from typing import Callable
 
 import numpy as np
+
+from repro.simulation.spec import RunSpec, build_partitioner
 
 SCHEMA = "perdnn-bench/1"
 
@@ -138,28 +139,12 @@ def bench_forest(quick: bool, seed: int, repeats: int) -> dict:
     }
 
 
-def _build_partitioner(model: str):
-    from repro.core.config import PerDNNConfig
-    from repro.dnn.models import build_model
-    from repro.partitioning.partitioner import DNNPartitioner
-    from repro.profiling.hardware import odroid_xu4, titan_xp_server
-    from repro.profiling.profiler import ExecutionProfile
-
-    config = PerDNNConfig()
-    profile = ExecutionProfile.build(
-        build_model(model), odroid_xu4(), titan_xp_server()
-    )
-    return DNNPartitioner(
-        profile, config.network.uplink_bps, config.network.downlink_bps
-    )
-
-
 def bench_partition(quick: bool, seed: int, repeats: int) -> dict:
     """Partition planning: a cold sweep of slowdown levels, then the same
     sweep answered from the quantized plan cache."""
     from repro.partitioning.partitioner import DNNPartitioner
 
-    template = _build_partitioner("mobilenet" if quick else "inception")
+    template = build_partitioner("mobilenet" if quick else "inception")
     slowdowns = [1.0 + 0.25 * i for i in range(13)]  # 1.0 .. 4.0
 
     def cold_sweep() -> None:
@@ -193,93 +178,73 @@ def bench_large_scale(quick: bool, seed: int, repeats: int) -> dict:
     the timed region is the simulation loop itself — association, batched
     interval planning, query windows, proactive migration.
     """
-    from repro.core.config import PerDNNConfig
-    from repro.core.master import MigrationPolicy
-    from repro.simulation.large_scale import (
-        SimulationSettings,
-        run_large_scale,
-        train_default_models,
-    )
-    from repro.trajectories.synthetic import kaist_like
-
     # Full mode uses the paper's KAIST user count so each interval plans
     # across enough servers for the batched path to matter end to end.
-    users, dataset_steps, max_steps = (
-        (4, 40, 4) if quick else (31, 120, 20)
+    users, dataset_steps, steps = (4, 40, 4) if quick else (31, 120, 20)
+    spec = RunSpec(
+        model="mobilenet", users=users, dataset_steps=dataset_steps,
+        steps=steps, seed=seed,
     )
-    rng = np.random.default_rng(seed)
-    dataset = kaist_like(rng, num_users=users, duration_steps=dataset_steps)
-    config = PerDNNConfig(migration_radius_m=100.0)
-    settings = SimulationSettings(
-        policy=MigrationPolicy.PERDNN, max_steps=max_steps, seed=seed
+    dataset = spec.trajectories()
+    predictor, estimator = spec.train_models(dataset)
+    seconds = _median_seconds(
+        lambda: spec.run(predictor, estimator, dataset=dataset), repeats
     )
-    predictor, estimator = train_default_models(
-        dataset, _build_partitioner("mobilenet"), settings, config,
-        np.random.default_rng(seed),
-    )
-
-    def run() -> None:
-        run_large_scale(
-            dataset,
-            _build_partitioner("mobilenet"),
-            settings,
-            config=config,
-            predictor=predictor,
-            contention_estimator=estimator,
-        )
-
     return {
         "large_scale": {
-            "seconds_median": _median_seconds(run, repeats),
+            "seconds_median": seconds,
             "clients": users,
-            "steps": max_steps,
+            "steps": steps,
         }
     }
 
 
-#: One city-scale population: users, trace length, replay horizon and
-#: shard size.
-Shape = namedtuple("Shape", "users dataset_steps steps shard_size")
+def _scale_spec(users, dataset_steps, steps, shard_size, **extra) -> RunSpec:
+    return RunSpec(
+        model="mobilenet", users=users, dataset_steps=dataset_steps,
+        steps=steps, shard_size=shard_size, record_events=False, **extra,
+    )
 
 
-@dataclass(frozen=True)
-class ScaleRow:
-    """One city-scale case: quick (CI) and full shapes and its run mode,
-    ``"memory"`` (in-memory merge), ``"checkpoint"`` (every shard spilled
-    to a fresh checkpoint directory and merged back from it) or
-    ``"spill"`` (``spill_datasets=True``).  A ``checkpointed`` row also
-    times checkpoint runs against that mode, as ``<name>_checkpointed``.
-    """
-
-    quick: Shape
-    full: Shape
-    mode: str
-    checkpointed: bool = False
-
-
-#: The city-scale cases ``repro bench`` times, by case name.  The 1M
-#: row keeps a reduced-step shape with 32768-client shards: at
-#: metropolitan density the hex cells are big enough that smaller shards
-#: only multiply per-shard setup (registry build, spill load, client
-#: construction), and the per-client-step cost, not the horizon, is what
-#: the row exists to measure.
-SCALE_SHAPES: dict[str, ScaleRow] = {
-    "large_scale_sharded": ScaleRow(
-        quick=Shape(1000, 12, 3, 128),
-        full=Shape(10_000, 25, 8, 512),
-        mode="memory", checkpointed=True,
+#: The city-scale cases ``repro bench`` times: case name -> (quick spec,
+#: full spec).  ``measure_scale`` replaces each spec's seed and worker
+#: count with its own.  The 1M row keeps a reduced-step shape with
+#: 32768-client shards and dataset spill: at metropolitan density the
+#: hex cells are big enough that smaller shards only multiply per-shard
+#: setup (registry build, spill load, client construction), and the
+#: per-client-step cost, not the horizon, is what the row exists to
+#: measure.
+SCALE_SPECS: dict[str, tuple[RunSpec, RunSpec]] = {
+    "large_scale_sharded": (
+        _scale_spec(1000, 12, 3, 128), _scale_spec(10_000, 25, 8, 512)
     ),
-    "large_scale_sharded_100k": ScaleRow(
-        quick=Shape(2000, 12, 3, 128),
-        full=Shape(100_000, 25, 8, 512),
-        mode="memory",
+    "large_scale_sharded_100k": (
+        _scale_spec(2000, 12, 3, 128), _scale_spec(100_000, 25, 8, 512)
     ),
-    "large_scale_sharded_1m": ScaleRow(
-        quick=Shape(4000, 12, 4, 1024),
-        full=Shape(1_000_000, 12, 4, 32768),
-        mode="spill",
+    "large_scale_sharded_1m": (
+        _scale_spec(4000, 12, 4, 1024, spill_datasets=True),
+        _scale_spec(1_000_000, 12, 4, 32768, spill_datasets=True),
     ),
 }
+
+#: Cases whose spec is also timed with every shard spilled to a fresh
+#: checkpoint directory and merged back from it, as ``<name>_checkpointed``.
+CHECKPOINTED = ("large_scale_sharded",)
+
+
+def in_forked_child(fn: Callable[[], object]):
+    """``fn()`` run in a forked child process; its result comes back
+    pickled through a pipe.  Needs a Unix host with ``fork``."""
+    context = multiprocessing.get_context("fork")
+    receiver, sender = context.Pipe(duplex=False)
+    process = context.Process(target=lambda: sender.send(fn()))
+    process.start()
+    sender.close()
+    try:
+        return receiver.recv()
+    finally:
+        process.join()
+        receiver.close()
 
 
 def measure_scale(
@@ -290,7 +255,7 @@ def measure_scale(
     workers: int | None = None,
     snapshot: str | None = None,
 ) -> dict:
-    """Time the :data:`SCALE_SHAPES` row ``name`` in one forked child.
+    """Time the :data:`SCALE_SPECS` row ``name`` in one forked child.
 
     The child builds the dataset and models itself: a child that merely
     inherits parent-built state pays copy-on-write refcount faults on
@@ -309,58 +274,31 @@ def measure_scale(
     ``peak_rss_mb`` is the child's ``ru_maxrss``: the larger of its own
     peak (setup, supervisor, streaming merge) and its shard workers'.
 
-    A ``checkpointed`` row's checkpoint runs, interleaved pair by pair
-    with its mode's, report as ``<name>_checkpointed``, with the mode's
-    timings as ``baseline_*`` and ``overhead_fraction``, the
+    A :data:`CHECKPOINTED` row's checkpoint runs, interleaved pair by
+    pair with the spec's own, report as ``<name>_checkpointed``, with the
+    spec's timings as ``baseline_*`` and ``overhead_fraction``, the
     median of the pairwise ratios minus one: the two runs of a pair
     almost always share a host scheduling window, so their ratio cancels
     it, and the median rejects the odd pair a window shift lands inside.
     """
     import resource
 
-    from repro.core.config import PerDNNConfig
-    from repro.core.master import MigrationPolicy
-    from repro.simulation.large_scale import SimulationSettings
-    from repro.simulation.sharding import run_large_scale_sharded
-    from repro.simulation.training import train_default_models
-    from repro.trajectories.synthetic import kaist_like
-
-    row = SCALE_SHAPES[name]
-    shape = row.quick if quick else row.full
+    quick_spec, full_spec = SCALE_SPECS[name]
     workers = workers or max(1, min(os.cpu_count() or 1, 8))
-    config = PerDNNConfig(migration_radius_m=100.0)
-    settings = SimulationSettings(
-        policy=MigrationPolicy.PERDNN, max_steps=shape.steps, seed=seed
-    )
-    modes = (row.mode, "checkpoint") if row.checkpointed else (row.mode,)
+    spec = replace(quick_spec if quick else full_spec, seed=seed, workers=workers)
+    checkpointed = name in CHECKPOINTED
+    modes = (False, True) if checkpointed else (False,)
 
-    def time_modes(conn) -> None:
-        rng = np.random.default_rng(seed)
-        dataset = kaist_like(
-            rng, num_users=shape.users, duration_steps=shape.dataset_steps
-        )
-        predictor, estimator = train_default_models(
-            dataset, _build_partitioner("mobilenet"), settings, config,
-            np.random.default_rng(seed),
-        )
+    def time_modes() -> dict:
+        dataset = spec.trajectories()
+        predictor, estimator = spec.train_models(dataset)
         times: list[list[float]] = [[] for _ in modes]
         for round_ in range(repeats + 1):  # round 0 is an untimed warm-up
-            for mode, seconds in zip(modes, times):
+            for checkpoint, seconds in zip(modes, times):
                 start = time.perf_counter()
                 with tempfile.TemporaryDirectory(prefix="bench-") as tmp:
-                    result = run_large_scale_sharded(
-                        dataset,
-                        _build_partitioner("mobilenet"),
-                        settings,
-                        config=config,
-                        shard_size=shape.shard_size,
-                        workers=workers,
-                        predictor=predictor,
-                        contention_estimator=estimator,
-                        record_events=False,
-                        checkpoint_dir=tmp if mode == "checkpoint" else None,
-                        spill_datasets=mode == "spill",
-                    )
+                    timed = replace(spec, checkpoint_dir=tmp) if checkpoint else spec
+                    result = timed.run(predictor, estimator, dataset=dataset)
                 if round_:
                     seconds.append(time.perf_counter() - start)
                 elif snapshot is not None:
@@ -379,29 +317,20 @@ def measure_scale(
                 "clients": result.num_clients,
                 "steps": result.steps,
                 "shards": result.extras["sharding"]["shards"],
-                "shard_size": shape.shard_size,
+                "shard_size": spec.shard_size,
                 "workers": workers,
             }
-        if row.checkpointed:
+        if checkpointed:
             baseline, paired = times
-            checkpointed = entries[f"{name}_checkpointed"]
+            entry = entries[f"{name}_checkpointed"]
             for key, value in _repeat_seconds(baseline).items():
-                checkpointed[f"baseline_{key}"] = value
-            checkpointed["overhead_fraction"] = statistics.median(
+                entry[f"baseline_{key}"] = value
+            entry["overhead_fraction"] = statistics.median(
                 run / base for run, base in zip(paired, baseline)
             ) - 1.0
-        conn.send(entries)
+        return entries
 
-    context = multiprocessing.get_context("fork")
-    receiver, sender = context.Pipe(duplex=False)
-    process = context.Process(target=time_modes, args=(sender,))
-    process.start()
-    sender.close()
-    try:
-        return receiver.recv()
-    finally:
-        process.join()
-        receiver.close()
+    return in_forked_child(time_modes)
 
 
 #: ``--only`` case name -> runner.  A case may emit several result
@@ -411,7 +340,7 @@ BENCH_CASES: dict[str, Callable[[bool, int, int], dict]] = {
     "forest": bench_forest,
     "partition": bench_partition,
     "large_scale": bench_large_scale,
-    **{name: functools.partial(measure_scale, name) for name in SCALE_SHAPES},
+    **{name: functools.partial(measure_scale, name) for name in SCALE_SPECS},
 }
 BENCH_CASES["large_scale_sharded_checkpointed"] = BENCH_CASES[
     "large_scale_sharded"

@@ -20,7 +20,9 @@ benchmarks; see benchmarks/ for the full paper-reproduction harness.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
+import os
 import sys
 
 import numpy as np
@@ -35,11 +37,11 @@ from repro.core.config import PerDNNConfig
 from repro.core.master import MigrationPolicy
 from repro.dnn.models import MODEL_BUILDERS, build_model
 from repro.dnn.zoo_extra import EXTRA_MODEL_BUILDERS
-from repro.faults import BUILTIN_PROFILES, get_profile
-from repro.overload import OverloadConfig, SheddingPolicy
-from repro.partitioning.partitioner import DNNPartitioner
-from repro.profiling.hardware import odroid_xu4, titan_xp_server
-from repro.profiling.profiler import ExecutionProfile
+from repro.faults import BUILTIN_PROFILES, WorkerChaos
+from repro.overload import SheddingPolicy
+from repro.simulation.sharding import DEFAULT_SHARD_SIZE
+from repro.simulation.spec import RunSpec, build_dataset, build_partitioner
+from repro.simulation.supervisor import ShardError, SupervisorConfig, runs_inline
 
 ALL_MODELS = {**MODEL_BUILDERS, **EXTRA_MODEL_BUILDERS}
 
@@ -90,26 +92,6 @@ def unit_fraction(text: str) -> float:
     return _float_within(text, 0.0, 1.0, "a number in [0, 1]")
 
 
-def _make_partitioner(model: str, config: PerDNNConfig) -> DNNPartitioner:
-    profile = ExecutionProfile.build(
-        build_model(model), odroid_xu4(), titan_xp_server()
-    )
-    return DNNPartitioner(
-        profile, config.network.uplink_bps, config.network.downlink_bps
-    )
-
-
-def _make_dataset(name: str, users: int, steps: int, seed: int):
-    from repro.trajectories.synthetic import geolife_like, kaist_like
-
-    rng = np.random.default_rng(seed)
-    if name == "kaist":
-        return kaist_like(rng, num_users=users, duration_steps=steps)
-    if name == "geolife":
-        return geolife_like(rng, num_users=users, duration_steps=steps).subsample(4)
-    raise ValueError(f"unknown dataset {name!r} (kaist | geolife)")
-
-
 # ----------------------------------------------------------------------
 # Subcommands
 # ----------------------------------------------------------------------
@@ -125,8 +107,7 @@ def cmd_models(args: argparse.Namespace) -> int:
 
 
 def cmd_partition(args: argparse.Namespace) -> int:
-    config = PerDNNConfig()
-    partitioner = _make_partitioner(args.model, config)
+    partitioner = build_partitioner(args.model)
     result = partitioner.partition(args.slowdown)
     plan, schedule = result.plan, result.schedule
     print(f"model: {args.model}, server slowdown: {result.slowdown:.2f}x")
@@ -156,7 +137,7 @@ def cmd_handoff(args: argparse.Namespace) -> int:
         )
         return 2
     config = PerDNNConfig()
-    partitioner = _make_partitioner(args.model, config)
+    partitioner = build_partitioner(args.model)
     total = partitioner.partition(1.0).schedule.total_bytes
     result = simulate_handoff(
         partitioner,
@@ -176,152 +157,47 @@ def cmd_handoff(args: argparse.Namespace) -> int:
     return 0
 
 
-def _print_profiles(stream) -> None:
-    width = max(len(name) for name in BUILTIN_PROFILES) + 2
-    print(f"{'profile':<{width}s} description", file=stream)
-    for name in sorted(BUILTIN_PROFILES):
-        print(
-            f"{name:<{width}s} {BUILTIN_PROFILES[name].description}",
-            file=stream,
-        )
-
-
-def _build_supervision(args: argparse.Namespace):
-    """Translate the simulate supervision/chaos flags into configs."""
-    from repro.faults import WorkerChaos
-    from repro.simulation.supervisor import SupervisorConfig
-
-    chaos = None
-    if args.chaos_kill or args.chaos_hang or args.chaos_kill_shard:
-        chaos = WorkerChaos(
-            seed=args.chaos_seed,
-            kill_rate=args.chaos_kill,
-            hang_rate=args.chaos_hang,
-            max_injections_per_shard=args.chaos_max_injections,
-            hang_seconds=args.chaos_hang_seconds,
-            always_kill=tuple(args.chaos_kill_shard or ()),
-        )
-    return SupervisorConfig(
-        max_attempts=args.shard_attempts,
-        timeout_seconds=args.shard_timeout,
-        allow_partial=args.allow_partial,
-        chaos=chaos,
-    )
-
-
 def cmd_simulate(args: argparse.Namespace) -> int:
-    from repro.simulation.large_scale import SimulationSettings, run_large_scale
-    from repro.simulation.sharding import run_large_scale_sharded
-    from repro.simulation.supervisor import ShardError, runs_inline
-
-    config = PerDNNConfig(
-        migration_radius_m=args.radius,
-        handover_hysteresis_m=args.hysteresis,
-    )
-    try:
-        profile = get_profile(args.faults)
-    except ValueError:
-        print(
-            f"error: unknown fault profile {args.faults!r}; built-in "
-            "profiles are:", file=sys.stderr,
-        )
-        _print_profiles(sys.stderr)
-        return 2
-    overload = None
-    if args.overload != "off":
-        overload = OverloadConfig(
-            policy=SheddingPolicy(args.overload),
-            queue_capacity=args.queue_capacity,
-        )
-    sharded = (
-        args.workers > 1
-        or args.shard_size is not None
-        or args.checkpoint_dir is not None
-        or args.spill_datasets
-    )
-    sharded_only = {
-        "--resume": args.resume,
-        "--allow-partial": args.allow_partial,
-        "--shard-timeout": args.shard_timeout is not None,
-        "--shard-attempts": args.shard_attempts != 3,
-        "--chaos-kill": bool(args.chaos_kill),
-        "--chaos-hang": bool(args.chaos_hang),
-        "--chaos-kill-shard": bool(args.chaos_kill_shard),
-    }
-    misused = [flag for flag, used in sharded_only.items() if used]
-    if misused and not sharded:
-        print(
-            f"error: {', '.join(misused)} only apply to sharded runs; "
-            "add --shard-size, --workers, or --checkpoint-dir",
-            file=sys.stderr,
-        )
-        return 2
-    try:
-        supervision = _build_supervision(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if (
-        args.profile_top is not None
-        and sharded
-        and not runs_inline(args.workers, supervision)
-    ):
-        print(
-            "error: --profile sees only this process; run the shards in it "
-            "with --workers 1 and no --shard-timeout or chaos",
-            file=sys.stderr,
-        )
-        return 2
-    partitioner = _make_partitioner(args.model, config)
-    dataset = _make_dataset(args.dataset, args.users, args.dataset_steps, args.seed)
-    settings = SimulationSettings(
-        policy=MigrationPolicy(args.policy),
-        migration_radius_m=args.radius,
-        max_steps=args.steps,
-        seed=args.seed,
-        faults=profile,
-        overload=overload,
-    )
     profiler = None
-    if args.profile_top is not None:
-        # Every shard runs in this process (checked above), so one
-        # profile covers training, the shards and the merge.
-        import cProfile
-
-        profiler = cProfile.Profile()
-        profiler.enable()
     try:
-        if sharded:
-            result = run_large_scale_sharded(
-                dataset,
-                partitioner,
-                settings,
-                config=config,
-                shard_size=args.shard_size or 256,
-                workers=args.workers,
-                supervision=supervision,
-                checkpoint_dir=args.checkpoint_dir,
-                resume=args.resume,
-                spill_datasets=args.spill_datasets,
-            )
-        else:
-            result = run_large_scale(dataset, partitioner, settings, config)
+        if args.telemetry and os.path.isdir(args.telemetry):
+            raise ValueError(f"--telemetry {args.telemetry!r} is a directory")
+        spec = RunSpec(**{
+            field.name: getattr(args, field.name)
+            for field in dataclasses.fields(RunSpec)
+            if hasattr(args, field.name)
+        })
+        if args.profile_top is not None:
+            if spec.sharded and not runs_inline(
+                spec.workers, spec.supervision()
+            ):
+                raise ValueError(
+                    "--profile sees only this process; run the shards in "
+                    "it with --workers 1 and no --shard-timeout or chaos"
+                )
+            # Every shard runs in this process (checked above), so one
+            # profile covers set-up, training, the shards and the merge.
+            import cProfile
+
+            profiler = cProfile.Profile()
+            profiler.enable()
+        result = spec.run()
     except ShardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         for failure in exc.failures:
             print(f"  {failure.describe()}", file=sys.stderr)
-        if args.checkpoint_dir:
+        if spec.checkpoint_dir:
             print(
                 f"completed shards are checkpointed in "
-                f"{args.checkpoint_dir!r}; rerun with --resume to "
+                f"{spec.checkpoint_dir!r}; rerun with --resume to "
                 "continue, or add --allow-partial to merge without the "
                 "poison shard",
                 file=sys.stderr,
             )
         return 1
     except ValueError as exc:
-        # Stale checkpoint, unwritable directory, bad arguments, traces
-        # too short to train on.
+        # A refused spec or flag combination (before any set-up), a stale
+        # checkpoint, an unwritable directory, traces too short to train on.
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if profiler is not None:
@@ -333,25 +209,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             "cumulative"
         ).print_stats(args.profile_top)
     if args.telemetry:
-        assert result.telemetry is not None
-        meta = {
-            "command": "simulate",
-            "dataset": args.dataset,
-            "model": args.model,
-            "policy": args.policy,
-            "seed": args.seed,
-        }
-        if args.faults != "none":
-            meta["faults"] = args.faults
-        if overload is not None:
-            meta["overload"] = args.overload
-        if sharded:
-            # Only the decomposition goes into the snapshot — never the
-            # worker count, so runs with different --workers stay
-            # byte-for-byte comparable (the CI smoke `cmp`s them).
-            meta["shard_size"] = args.shard_size or 256
         try:
-            path = result.telemetry.write(args.telemetry, meta=meta)
+            path = result.telemetry.write(args.telemetry, meta=spec.meta())
         except OSError as exc:
             print(
                 f"error: cannot write telemetry snapshot: {exc}",
@@ -359,11 +218,16 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             )
             return 1
         print(f"telemetry snapshot: {path}")
+    _print_result(spec, result)
+    return 0
+
+
+def _print_result(spec: RunSpec, result) -> None:
     print(f"dataset: {result.dataset}, model: {result.model}, "
           f"policy: {result.policy}")
     print(f"servers: {result.num_servers}, clients: {result.num_clients}, "
           f"steps: {result.steps}")
-    if sharded:
+    if spec.sharded:
         info = result.extras["sharding"]
         print(f"sharding:           {info['shards']} shards "
               f"(target size {info['shard_size']}), "
@@ -394,15 +258,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     assert result.uplink is not None
     print(f"backhaul peak:      {result.uplink.peak_mbps:.0f} Mbps uplink, "
           f"{result.uplink.total_bytes / 1e9:.2f} GB total")
-    if args.faults != "none":
-        print(f"faults profile:     {args.faults}")
+    if spec.faults != "none":
+        print(f"faults profile:     {spec.faults}")
         print(f"availability:       {result.availability:6.2%}")
         print(f"local fallback:     {result.local_fallback_queries} queries")
         print(f"upload retries:     {result.upload_retries}")
-    if overload is not None:
+    if spec.overload != "off":
         stats = result.extras.get("overload", {})
-        print(f"overload policy:    {args.overload} "
-              f"(queue capacity {args.queue_capacity})")
+        print(f"overload policy:    {spec.overload} "
+              f"(queue capacity {spec.queue_capacity})")
         print(f"offered windows:    {stats.get('offered', 0)} "
               f"({stats.get('admitted', 0)} admitted, "
               f"{stats.get('shed', 0)} shed, "
@@ -412,11 +276,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         print(f"redirected queries: {result.redirected_queries}")
         print(f"degraded queries:   {result.degraded_queries}")
         print(f"queue wait p99:     {result.queue_wait_p99 * 1e3:.0f} ms")
-    return 0
 
 
 def cmd_faults(args: argparse.Namespace) -> int:
-    _print_profiles(sys.stdout)
+    width = max(len(name) for name in BUILTIN_PROFILES) + 2
+    print(f"{'profile':<{width}s} description")
+    for name in sorted(BUILTIN_PROFILES):
+        print(f"{name:<{width}s} {BUILTIN_PROFILES[name].description}")
     return 0
 
 
@@ -429,7 +295,7 @@ def cmd_predictors(args: argparse.Namespace) -> int:
     from repro.mobility.svr import SVRPredictor
 
     rng = np.random.default_rng(args.seed)
-    dataset = _make_dataset(args.dataset, args.users, args.dataset_steps, args.seed)
+    dataset = build_dataset(args.dataset, args.users, args.dataset_steps, args.seed)
     grid = HexGrid(50.0)
     registry = EdgeServerRegistry.from_visited_points(grid, dataset.all_points())
     train, test = dataset.split_users(0.3, rng)
@@ -547,7 +413,8 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--shard-size", type=positive_int, default=None,
                           help="target clients per spatial shard; setting "
                                "this enables the sharded runner even with "
-                               "one worker (default: 256 when sharded)")
+                               "one worker (default: "
+                               f"{DEFAULT_SHARD_SIZE} when sharded)")
     simulate.add_argument("--checkpoint-dir", metavar="DIR", default=None,
                           help="spill each completed shard here and merge "
                                "streamingly from disk (implies sharding)")
@@ -571,9 +438,10 @@ def build_parser() -> argparse.ArgumentParser:
                           help="merge without shards that exhausted their "
                                "retry budget instead of failing the run; "
                                "missing coverage is reported explicitly")
-    simulate.add_argument("--shard-attempts", type=positive_int, default=3,
+    simulate.add_argument("--shard-attempts", type=positive_int, default=None,
                           help="executions granted per shard before "
-                               "quarantine (default: 3)")
+                               "quarantine (default: "
+                               f"{SupervisorConfig.max_attempts})")
     simulate.add_argument("--shard-timeout", type=float, default=None,
                           metavar="SECONDS",
                           help="per-shard wall-clock cap; a shard past it "
@@ -587,18 +455,21 @@ def build_parser() -> argparse.ArgumentParser:
                           help="chaos testing: per-attempt probability of "
                                "hanging the worker (needs --shard-timeout; "
                                "default: 0)")
-    simulate.add_argument("--chaos-seed", type=non_negative_int, default=0,
-                          help="seed of the chaos schedule (default: 0)")
+    simulate.add_argument("--chaos-seed", type=non_negative_int, default=None,
+                          help="seed of the chaos schedule (default: "
+                               f"{WorkerChaos.seed})")
     simulate.add_argument("--chaos-kill-shard", type=non_negative_int,
                           action="append", metavar="INDEX", default=None,
                           help="kill every attempt of this shard index "
                                "(repeatable); forces quarantine")
     simulate.add_argument("--chaos-max-injections", type=non_negative_int,
-                          default=1,
+                          default=None,
                           help="sabotaged attempts per shard before the "
-                               "chaos schedule lets it through (default: 1)")
-    simulate.add_argument("--chaos-hang-seconds", type=float, default=3600.0,
-                          help="how long a chaos hang sleeps (default: 3600)")
+                               "chaos schedule lets it through (default: "
+                               f"{WorkerChaos.max_injections_per_shard})")
+    simulate.add_argument("--chaos-hang-seconds", type=float, default=None,
+                          help="how long a chaos hang sleeps (default: "
+                               f"{WorkerChaos.hang_seconds:g})")
     simulate.add_argument("--telemetry", metavar="PATH", default=None,
                           help="write the run's telemetry snapshot (JSON)")
 

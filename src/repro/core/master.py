@@ -113,9 +113,6 @@ class MasterServer:
     def instantiated_servers(self) -> list[EdgeServer]:
         return list(self._servers.values())
 
-    def server_at(self, point: tuple[float, float]) -> int | None:
-        return self.registry.server_at(point)
-
     def server_available(self, server_id: int, interval: int) -> bool:
         """Is the server up at ``interval`` under the run's fault schedule?"""
         if self.fault_schedule is None:

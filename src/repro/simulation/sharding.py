@@ -80,6 +80,9 @@ from repro.telemetry import (
 #: ratio and is recomputed from merged counters after the fold.
 GAUGE_MERGE_RULES: dict[str, str] = {"sim.steps": "max"}
 
+#: Target clients per shard when the caller names none.
+DEFAULT_SHARD_SIZE = 256
+
 #: Event fields that carry client/server identifiers (rebased on merge).
 _CLIENT_ID_FIELDS = frozenset({"client_id"})
 _SERVER_ID_FIELDS = frozenset(
@@ -351,7 +354,7 @@ def run_large_scale_sharded(
     partitioner: DNNPartitioner | list[DNNPartitioner],
     settings: SimulationSettings,
     config: PerDNNConfig | None = None,
-    shard_size: int = 256,
+    shard_size: int = DEFAULT_SHARD_SIZE,
     workers: int = 1,
     predictor: PointPredictor | None = None,
     contention_estimator: ContentionEstimator | None = None,

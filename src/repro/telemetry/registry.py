@@ -50,9 +50,6 @@ class Counter:
     def reset(self) -> None:
         self.value = 0.0
 
-    def merge(self, other: "Counter") -> None:
-        self.value += other.value
-
     def as_dict(self) -> dict:
         return {
             "name": self.name,
@@ -79,10 +76,6 @@ class Gauge:
 
     def reset(self) -> None:
         self.value = 0.0
-
-    def merge(self, other: "Gauge") -> None:
-        # Last write wins; in a merge the other registry is "newer".
-        self.value = other.value
 
     def as_dict(self) -> dict:
         return {
@@ -197,15 +190,6 @@ class Histogram:
         self.counts = [0] * (len(self.buckets) + 1)
         self.sum = 0.0
         self.count = 0
-
-    def merge(self, other: "Histogram") -> None:
-        if other.buckets != self.buckets:
-            raise ValueError(
-                f"cannot merge histogram {self.name!r}: bucket bounds differ"
-            )
-        self.counts = [a + b for a, b in zip(self.counts, other.counts)]
-        self.sum += other.sum
-        self.count += other.count
 
     def as_dict(self) -> dict:
         return {
@@ -351,37 +335,6 @@ class MetricsRegistry:
         self._unlabeled_counters.clear()
         self._unlabeled_histograms.clear()
 
-    def merge(self, other: "MetricsRegistry") -> "MetricsRegistry":
-        """Fold ``other`` into this registry in place and return self.
-
-        Counters and histograms accumulate, gauges take the other's value.
-        Merging two registries that recorded disjoint halves of a workload
-        equals one registry that recorded the interleaved whole (for
-        counters and histograms; gauges are last-write).
-
-        .. warning:: last-write gauges make pairwise merging
-           *order-dependent*, and chained float ``+=`` makes even counter
-           sums depend on fold order in the last ulp.  When combining more
-           than two registries (shard fan-in), use
-           :func:`merge_registries`, which is permutation-invariant.
-        """
-        for key, theirs in sorted(other._metrics.items()):
-            mine = self._metrics.get(key)
-            if mine is None:
-                if isinstance(theirs, Histogram):
-                    mine = self.histogram(key[0], theirs.buckets, dict(key[1]))
-                elif isinstance(theirs, Gauge):
-                    mine = self.gauge(key[0], dict(key[1]))
-                else:
-                    mine = self.counter(key[0], dict(key[1]))
-            elif type(mine) is not type(theirs):
-                raise TypeError(
-                    f"cannot merge {key[0]!r}: kind mismatch "
-                    f"({type(mine).__name__} vs {type(theirs).__name__})"
-                )
-            mine.merge(theirs)
-        return self
-
     def as_dict(self) -> dict:
         """Deterministic nested view: kind -> sorted list of metric dicts."""
         counters, gauges, histograms = [], [], []
@@ -446,10 +399,8 @@ def merge_registries(
 ) -> MetricsRegistry:
     """Combine any number of registries into a fresh, order-independent one.
 
-    Unlike pairwise :meth:`MetricsRegistry.merge` (which folds left and
-    lets the last gauge write win), this merge is *permutation-invariant*:
-    feeding the same registries in any order produces byte-identical
-    exports.
+    The merge is *permutation-invariant*: feeding the same registries in
+    any order produces byte-identical exports.
 
     * counters and histogram sums use :func:`math.fsum` — the exact
       correctly-rounded sum, which does not depend on addend order;

@@ -3,10 +3,7 @@
 Shard results arrive in whatever order the worker pool yields them, so
 the merge that folds their registries must be a pure function of the
 *set* of inputs: every permutation has to export byte-identical JSON and
-CSV.  Pairwise :meth:`MetricsRegistry.merge` is order-dependent by
-design (last gauge write wins, floats fold left to right) — these tests
-pin :func:`merge_registries` as the safe alternative and document the
-hazard it fixes.
+CSV.  These tests pin that property of :func:`merge_registries`.
 """
 
 import itertools
@@ -70,24 +67,6 @@ class TestPermutationInvariance:
             if baseline is None:
                 baseline = text
             assert text == baseline
-
-    def test_pairwise_merge_is_the_hazard_being_fixed(self, shards):
-        # The legacy fold is gauge-order-dependent: merging A<-B and
-        # B<-A disagree whenever gauge values differ.  This is exactly
-        # why the sharded runner must not use it.
-        a, b = shards[0], shards[1]
-        assert a.value("sim.steps") != b.value("sim.steps")
-        ab = MetricsRegistry()
-        ab.merge(a)
-        ab.merge(b)
-        ba = MetricsRegistry()
-        ba.merge(b)
-        ba.merge(a)
-        assert ab.value("sim.steps") != ba.value("sim.steps")
-        order_free = merge_registries([a, b], RULES)
-        assert order_free.value("sim.steps") == max(
-            a.value("sim.steps"), b.value("sim.steps")
-        )
 
 
 class TestMergeSemantics:

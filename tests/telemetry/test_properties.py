@@ -14,7 +14,7 @@ import math
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from repro.telemetry import Histogram, MetricsRegistry
+from repro.telemetry import Histogram, MetricsRegistry, merge_registries
 
 amounts = st.floats(0.0, 1e9, allow_nan=False, allow_infinity=False)
 observations = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
@@ -98,7 +98,7 @@ class TestMergeProperties:
             goes_left = coin_flips[i] if i < len(coin_flips) else True
             apply(left if goes_left else right, op)
             apply(whole, op)
-        merged = left.merge(right)
+        merged = merge_registries([left, right])
         # Float addition is not associative in general, so compare with a
         # tolerance on values and exactly on structure/counts.
         got = merged.as_dict()
@@ -125,11 +125,10 @@ class TestMergeProperties:
     @given(ops_lists)
     @settings(max_examples=50)
     def test_merge_into_empty_is_identity(self, ops):
-        source, target = MetricsRegistry(), MetricsRegistry()
+        source = MetricsRegistry()
         for op in ops:
             apply(source, op)
-        target.merge(source)
-        assert target.as_dict() == source.as_dict()
+        assert merge_registries([source]).as_dict() == source.as_dict()
 
 
 class TestObserveRunsProperties:

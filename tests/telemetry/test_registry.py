@@ -10,6 +10,7 @@ from repro.telemetry import (
     Gauge,
     Histogram,
     MetricsRegistry,
+    merge_registries,
     normalize_labels,
 )
 from repro.trajectories.synthetic import kaist_like
@@ -80,10 +81,11 @@ class TestHistogram:
         assert h.buckets == (1.0,)
 
     def test_merge_requires_matching_buckets(self):
-        a = Histogram("lat", buckets=(1.0,))
-        b = Histogram("lat", buckets=(2.0,))
+        a, b = MetricsRegistry(), MetricsRegistry()
+        a.histogram("lat", (1.0,))
+        b.histogram("lat", (2.0,))
         with pytest.raises(ValueError):
-            a.merge(b)
+            merge_registries([a, b])
 
 
 class TestLabels:
@@ -193,25 +195,18 @@ class TestMerge:
         b.counter("only_b").inc()
         a.histogram("h", (1.0,)).observe(0.5)
         b.histogram("h", (1.0,)).observe(2.0)
-        a.merge(b)
-        assert a.value("c") == 5.0
-        assert a.value("only_b") == 1.0
-        h = a.histogram("h", (1.0,))
+        merged = merge_registries([a, b])
+        assert merged.value("c") == 5.0
+        assert merged.value("only_b") == 1.0
+        h = merged.histogram("h", (1.0,))
         assert h.counts == [1, 1] and h.count == 2
-
-    def test_merge_gauge_is_last_write(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.gauge("g").set(1)
-        b.gauge("g").set(9)
-        a.merge(b)
-        assert a.value("g") == 9.0
 
     def test_merge_kind_mismatch_raises(self):
         a, b = MetricsRegistry(), MetricsRegistry()
         a.counter("x")
         b.gauge("x")
         with pytest.raises(TypeError):
-            a.merge(b)
+            merge_registries([a, b])
 
 
 class TestObserveRepeated:

@@ -16,8 +16,6 @@ from repro.bench import (
     BENCH_CASES,
     REQUIRED_RESULTS,
     SCHEMA,
-    ScaleRow,
-    Shape,
     _repeat_seconds,
     assert_schema,
     bench_partition,
@@ -26,6 +24,7 @@ from repro.bench import (
     write_results,
 )
 from repro.cli import build_parser
+from repro.simulation.spec import RunSpec
 
 
 def minimal_doc():
@@ -159,14 +158,12 @@ class TestMeasureScale:
         # interleaved baseline of the second mode.  The horizon asks for
         # more steps than the 12-step trace replays, so the throughput
         # must divide by the steps actually simulated.
-        tiny = Shape(users=24, dataset_steps=12, steps=8, shard_size=12)
-        monkeypatch.setitem(
-            bench.SCALE_SHAPES,
-            "tiny",
-            ScaleRow(
-                quick=tiny, full=tiny, mode="memory", checkpointed=True
-            ),
+        tiny = RunSpec(
+            model="mobilenet", users=24, dataset_steps=12, steps=8,
+            shard_size=12, record_events=False,
         )
+        monkeypatch.setitem(bench.SCALE_SPECS, "tiny", (tiny, tiny))
+        monkeypatch.setattr(bench, "CHECKPOINTED", ("tiny",))
         entries = measure_scale(
             "tiny", quick=True, seed=0, repeats=2, workers=2
         )

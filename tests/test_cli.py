@@ -2,8 +2,19 @@
 
 import pytest
 
-from repro import cli
 from repro.cli import build_parser, main
+from repro.simulation import spec
+
+
+@pytest.fixture
+def no_set_up(monkeypatch):
+    """Fail the test if the command builds a partitioner or a dataset."""
+
+    def never(*args, **kwargs):
+        raise AssertionError("refusal must come before any set-up")
+
+    monkeypatch.setattr(spec, "build_partitioner", never)
+    monkeypatch.setattr(spec, "build_dataset", never)
 
 
 class TestParser:
@@ -401,13 +412,8 @@ class TestShardedSimulate:
         assert getattr(args, flag[2:].replace("-", "_")) == 0
 
     def test_hang_chaos_without_timeout_exits_2_before_set_up(
-        self, capsys, monkeypatch
+        self, capsys, no_set_up
     ):
-        def never(*args, **kwargs):
-            raise AssertionError("refusal must come before any set-up")
-
-        monkeypatch.setattr(cli, "_make_partitioner", never)
-        monkeypatch.setattr(cli, "_make_dataset", never)
         assert main(
             [
                 "simulate", "--model", "mobilenet", "--steps", "4",
@@ -417,6 +423,49 @@ class TestShardedSimulate:
         ) == 2
         captured = capsys.readouterr()
         assert "--shard-timeout" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--resume"],
+            ["--allow-partial"],
+            ["--shard-timeout", "30"],
+            ["--shard-attempts", "3"],  # the default, but given
+            ["--chaos-kill", "0.5"],
+            ["--chaos-hang", "0.5"],
+            ["--chaos-seed", "4"],
+            ["--chaos-kill-shard", "0"],
+            ["--chaos-max-injections", "1"],
+            ["--chaos-hang-seconds", "3600"],
+        ],
+    )
+    def test_sharded_only_flags_refused_unsharded(
+        self, capsys, no_set_up, flags
+    ):
+        assert main(
+            [
+                "simulate", "--model", "mobilenet", "--steps", "2",
+                "--users", "3", "--dataset-steps", "20", *flags,
+            ]
+        ) == 2
+        captured = capsys.readouterr()
+        assert f"{flags[0]} only apply to sharded runs" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("sharding", [[], ["--shard-size", "2"]])
+    def test_telemetry_directory_refused_before_set_up(
+        self, capsys, no_set_up, tmp_path, sharding
+    ):
+        assert main(
+            [
+                "simulate", "--model", "mobilenet", "--steps", "2",
+                "--users", "3", "--dataset-steps", "20", *sharding,
+                "--telemetry", str(tmp_path),
+            ]
+        ) == 2
+        captured = capsys.readouterr()
+        assert "is a directory" in captured.err
         assert captured.out == ""
 
     def test_chaos_kill_shard_past_the_plan_exits_2(self, capsys):
@@ -519,13 +568,8 @@ class TestProfile:
         ],
     )
     def test_process_fleets_refused_before_any_work(
-        self, capsys, monkeypatch, flags
+        self, capsys, no_set_up, flags
     ):
-        def never(*args, **kwargs):
-            raise AssertionError("refusal must come before any set-up")
-
-        monkeypatch.setattr(cli, "_make_partitioner", never)
-        monkeypatch.setattr(cli, "_make_dataset", never)
         assert main([*self.RUN, *flags, "--profile", "5"]) == 2
         captured = capsys.readouterr()
         assert "--workers 1" in captured.err
